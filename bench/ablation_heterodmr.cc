@@ -7,23 +7,16 @@
  * sensitive the design is if the JEDEC-compliant transition were
  * slower or faster.
  *
- * Flags (unknown flags are fatal):
- *   --telemetry-out=<dir>  export every ablation point as a metric
- *                          (CSV + JSON) plus a
- *                          BENCH_ablation_heterodmr.json perf record
+ * Its one flag, --telemetry-out (bench::Harness), exports every
+ * ablation point as a metric.
  */
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <string>
 
+#include "harness.hh"
 #include "node/config.hh"
 #include "node/node_system.hh"
-#include "telemetry/bench_record.hh"
-#include "telemetry/sinks.hh"
-#include "telemetry/telemetry.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace
@@ -31,61 +24,17 @@ namespace
 
 using namespace hdmr;
 
-/** Publishes ablation points and totals for the perf record. */
-struct Recorder
+/** Run one ablation point and publish its exec time. */
+node::NodeStats
+runPoint(bench::Harness &harness, const node::NodeConfig &config,
+         const std::string &metric)
 {
-    telemetry::Registry registry;
-    std::uint64_t simEvents = 0;
-    double simSeconds = 0.0;
-
-    node::NodeStats
-    run(const node::NodeConfig &config, const std::string &metric)
-    {
-        const node::NodeStats stats = node::NodeSystem(config).run();
-        simEvents += stats.memOps;
-        simSeconds += stats.execSeconds;
-        registry.gauge("ablation." + metric + ".exec_seconds")
-            .set(stats.execSeconds);
-        return stats;
-    }
-};
-
-/**
- * Export the registry and the perf-trajectory record.  Fatal on I/O
- * failure: an explicitly requested export that silently vanished
- * would poison the trajectory.
- */
-void
-exportTelemetry(const std::string &dir, Recorder &recorder,
-                const telemetry::WallTimer &timer)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        util::fatal("ablation_heterodmr: cannot create '%s': %s",
-                    dir.c_str(), ec.message().c_str());
-
-    std::string error;
-    const std::string csv = dir + "/metrics.csv";
-    if (!telemetry::writeMetricsCsv(recorder.registry, csv, &error))
-        util::fatal("ablation_heterodmr: %s", error.c_str());
-    const std::string json = dir + "/metrics.json";
-    if (!telemetry::writeMetricsJson(recorder.registry, json, &error))
-        util::fatal("ablation_heterodmr: %s", error.c_str());
-
-    telemetry::BenchRecord record;
-    record.bench = "ablation_heterodmr";
-    record.gitSha = telemetry::currentGitSha();
-    record.wallSeconds = timer.seconds();
-    record.simSeconds = recorder.simSeconds;
-    record.simEvents = recorder.simEvents;
-    record.peakRssBytes = telemetry::currentPeakRssBytes();
-    record.threads = 1;
-    std::string bench_path;
-    if (!telemetry::writeBenchRecord(dir, record, &error, &bench_path))
-        util::fatal("ablation_heterodmr: %s", error.c_str());
-    std::printf("\ntelemetry: %s, %s, %s\n", csv.c_str(), json.c_str(),
-                bench_path.c_str());
+    const node::NodeStats stats = node::NodeSystem(config).run();
+    harness.addSimulated(stats.execSeconds, stats.memOps);
+    harness.registry()
+        .gauge("ablation." + metric + ".exec_seconds")
+        .set(stats.execSeconds);
+    return stats;
 }
 
 } // namespace
@@ -95,17 +44,9 @@ main(int argc, char **argv)
 {
     using namespace hdmr::node;
 
-    const telemetry::WallTimer timer;
-    std::string telemetry_dir;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--telemetry-out=", 16) == 0)
-            telemetry_dir = arg + 16;
-        else
-            util::fatal("ablation_heterodmr: unknown flag '%s'", arg);
-    }
-
-    Recorder recorder;
+    bench::Harness harness("ablation_heterodmr");
+    harness.parse(argc, argv);
+    telemetry::Registry &registry = harness.registry();
 
     NodeConfig base;
     base.hierarchy = HierarchyConfig::hierarchy1();
@@ -114,7 +55,7 @@ main(int argc, char **argv)
     base.warmupOpsPerCore = 20000;
     base.memorySystem = MemorySystemKind::kCommercialBaseline;
     const double baseline =
-        recorder.run(base, "baseline").execSeconds;
+        runPoint(harness, base, "baseline").execSeconds;
 
     base.memorySystem = MemorySystemKind::kHeteroDmr;
 
@@ -128,9 +69,9 @@ main(int argc, char **argv)
     for (const std::size_t lines : {0ul, 1600ul, 12800ul, 51200ul}) {
         auto config = base;
         config.cleanLinesPerWriteMode = lines;
-        const auto stats = recorder.run(
-            config, "batch_lines_" + std::to_string(lines));
-        recorder.registry
+        const auto stats = runPoint(
+            harness, config, "batch_lines_" + std::to_string(lines));
+        registry
             .gauge("ablation.batch_lines_" + std::to_string(lines) +
                    ".speedup")
             .set(baseline / stats.execSeconds);
@@ -149,9 +90,9 @@ main(int argc, char **argv)
     for (const double us : {0.1, 0.5, 1.0, 2.0, 5.0}) {
         auto config = base;
         config.frequencyTransitionUs = us;
-        const auto stats = recorder.run(
-            config, "transition_us_" + util::formatDouble(us, 1));
-        recorder.registry
+        const auto stats = runPoint(
+            harness, config, "transition_us_" + util::formatDouble(us, 1));
+        registry
             .gauge("ablation.transition_us_" +
                    util::formatDouble(us, 1) + ".speedup")
             .set(baseline / stats.execSeconds);
@@ -166,9 +107,9 @@ main(int argc, char **argv)
     for (const unsigned mts : {200u, 400u, 600u, 800u}) {
         auto config = base;
         config.nodeMarginMts = mts;
-        const auto stats = recorder.run(
-            config, "margin_mts_" + std::to_string(mts));
-        recorder.registry
+        const auto stats = runPoint(
+            harness, config, "margin_mts_" + std::to_string(mts));
+        registry
             .gauge("ablation.margin_mts_" + std::to_string(mts) +
                    ".speedup")
             .set(baseline / stats.execSeconds);
@@ -178,7 +119,5 @@ main(int argc, char **argv)
     }
     margin.print();
 
-    if (!telemetry_dir.empty())
-        exportTelemetry(telemetry_dir, recorder, timer);
-    return 0;
+    return harness.finish();
 }

@@ -45,21 +45,19 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/placement.hh"
+#include "drift_campaign.hh"
 #include "ecc/bamboo.hh"
 #include "fault/drift_chaos.hh"
 #include "node/config.hh"
 #include "node/node_system.hh"
 #include "sched/cluster_sim.hh"
-#include "snapshot/digest.hh"
 #include "snapshot_cli.hh"
 #include "traces/job_trace.hh"
 #include "util/logging.hh"
-#include "util/status.hh"
 #include "util/table.hh"
 #include "verify/audit.hh"
 #include "workloads/criticality.hh"
@@ -75,33 +73,6 @@ constexpr double kDemotionsPerHour = 1.0e-5;
 /** Tolerant-page fraction audited in the SDC section (a solver-class
  *  footprint; the split must still pin every escape to a class). */
 constexpr double kAuditTolerantFraction = 0.75;
-
-/** The PR 6 reference drift scenario, scaled to a trace horizon. */
-fault::DriftScenarioConfig
-referenceScenario(double horizon_hours, unsigned modules,
-                  unsigned targets_per_module, double aging_rate,
-                  double spikes_per_kilo_hour)
-{
-    fault::DriftScenarioConfig scenario;
-    scenario.drift.seed = 0xd21f7;
-    scenario.drift.modules = modules;
-    scenario.drift.horizonHours = horizon_hours;
-    scenario.drift.agingMtsPerKiloHour = aging_rate;
-    scenario.drift.agingSigma = 0.5;
-    scenario.drift.agingExponent = 1.0;
-    scenario.drift.cohortSize = 8;
-    scenario.drift.cohortCorrelation = 0.5;
-    scenario.drift.diurnalAmplitudeC = 12.0;
-    scenario.drift.diurnalPeakHour = 14.0;
-    scenario.drift.spikesPerKiloHour = spikes_per_kilo_hour;
-    scenario.drift.spikeMeanHours = 0.25;
-    scenario.drift.spikeErrorMultiplier = 6.0;
-    scenario.marginStepMts = 200.0;
-    scenario.targetsPerModule = targets_per_module;
-    scenario.excursionThresholdC = 10.0;
-    scenario.spikeBurstErrors = 200.0;
-    return scenario;
-}
 
 sched::ClusterConfig
 legConfig(bool hdmr, core::PlacementMode mode,
@@ -133,19 +104,6 @@ reclaimedShare(const sched::ClusterMetrics &m)
         return 0.0;
     return 1.0 - m.copyNodeSeconds / m.dmrCopyNodeSeconds;
 }
-
-/** Incrementing check harness shared by smoke and the full campaign. */
-struct Checks
-{
-    int failures = 0;
-
-    void
-    operator()(bool ok, const char *what)
-    {
-        std::printf("check: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    }
-};
 
 // ---------------------------------------------------------------------
 // Section 1: node capacity through the fig12 pipeline.
@@ -219,7 +177,7 @@ placementWeightedSpeedup(const core::PlacementPolicy &policy,
 }
 
 void
-runNodeSection(std::uint64_t mem_ops, Checks &check)
+runNodeSection(std::uint64_t mem_ops, bench::Harness &harness)
 {
     const NodeSpeedups node = measureNodeSpeedups(mem_ops);
     const wl::CriticalityConfig criticality;
@@ -227,9 +185,9 @@ runNodeSection(std::uint64_t mem_ops, Checks &check)
     std::printf("node speedups (NodeSystem, hpcg+lulesh mean): "
                 "%.3f @0.8 GT/s, %.3f @0.6 GT/s\n\n",
                 node.at800, node.at600);
-    check(node.at800 > 1.0 && node.at600 > 1.0 &&
-              node.at800 >= node.at600,
-          "measured node speedups ordered by margin");
+    harness.check(node.at800 > 1.0 && node.at600 > 1.0 &&
+                      node.at800 >= node.at600,
+                  "measured node speedups ordered by margin");
 
     util::Table table(
         {"placement", ">=50% bucket eligible classes", "weighted capacity"});
@@ -258,12 +216,12 @@ runNodeSection(std::uint64_t mem_ops, Checks &check)
     }
     table.print();
 
-    check(weighted[0] > 1.0, "hetero-dmr exploits margin capacity");
-    check(weighted[1] >= weighted[0] + 1.0e-6,
-          "het-reliability widens margin-eligible capacity");
-    check(weighted[2] >= weighted[0] &&
-              weighted[2] <= weighted[1] + 1.0e-9,
-          "hybrid capacity sits between dmr and het-reliability");
+    harness.check(weighted[0] > 1.0, "hetero-dmr exploits margin capacity");
+    harness.check(weighted[1] >= weighted[0] + 1.0e-6,
+                  "het-reliability widens margin-eligible capacity");
+    harness.check(weighted[2] >= weighted[0] &&
+                      weighted[2] <= weighted[1] + 1.0e-9,
+                  "hybrid capacity sits between dmr and het-reliability");
 }
 
 // ---------------------------------------------------------------------
@@ -297,44 +255,44 @@ printFleetTable(const sched::ClusterMetrics &conventional,
 void
 runFleetChecks(const sched::ClusterMetrics &dmr,
                const sched::ClusterMetrics &hetrel,
-               const sched::ClusterMetrics &hybrid, Checks &check)
+               const sched::ClusterMetrics &hybrid, bench::Harness &harness)
 {
     // Capacity: the HRM placement must reclaim >= 40 % of the
     // node-seconds full DMR spends holding copies, with the hybrid
     // landing between the two extremes.
-    check(reclaimedShare(dmr) == 0.0,
-          "hetero-dmr pays the full copy tax");
-    check(dmr.dmrCopyNodeSeconds > 0.0 &&
-              reclaimedShare(hetrel) >= 0.40,
-          "het-reliability reclaims >= 40% of the copy tax");
-    check(reclaimedShare(hybrid) > 0.0 &&
-              reclaimedShare(hybrid) <= reclaimedShare(hetrel) + 1e-9,
-          "hybrid reclaim between dmr and het-reliability");
+    harness.check(reclaimedShare(dmr) == 0.0,
+                  "hetero-dmr pays the full copy tax");
+    harness.check(dmr.dmrCopyNodeSeconds > 0.0 &&
+                      reclaimedShare(hetrel) >= 0.40,
+                  "het-reliability reclaims >= 40% of the copy tax");
+    harness.check(reclaimedShare(hybrid) > 0.0 &&
+                      reclaimedShare(hybrid) <= reclaimedShare(hetrel) + 1e-9,
+                  "hybrid reclaim between dmr and het-reliability");
 
     // Turnaround: reclaiming capacity must not cost schedule quality.
-    check(hetrel.meanTurnaroundSeconds <=
-              dmr.meanTurnaroundSeconds * 1.000001,
-          "het-reliability turnaround no worse than dmr");
+    harness.check(hetrel.meanTurnaroundSeconds <=
+                      dmr.meanTurnaroundSeconds * 1.000001,
+                  "het-reliability turnaround no worse than dmr");
 
     // Degradation semantics: tolerant strikes downgrade and continue,
     // critical strikes kill - and every UE lands in exactly one bucket.
-    check(hetrel.tolerantUes > 0 && hetrel.jobsDegraded > 0 &&
-              hetrel.pagesDegraded == hetrel.tolerantUes &&
-              hetrel.dataQualityPenalty > 0.0,
-          "tolerant-page strikes degrade, continue, and are billed");
-    check(hetrel.ueInjected ==
-                  hetrel.tolerantUes + hetrel.criticalUes &&
-              hetrel.jobKills == hetrel.criticalUes,
-          "every UE accounted to exactly one page class");
-    check(dmr.tolerantUes == 0 && dmr.jobsDegraded == 0 &&
-              dmr.jobKills == dmr.ueInjected,
-          "full dmr keeps the kill-on-any-UE ladder");
+    harness.check(hetrel.tolerantUes > 0 && hetrel.jobsDegraded > 0 &&
+                      hetrel.pagesDegraded == hetrel.tolerantUes &&
+                      hetrel.dataQualityPenalty > 0.0,
+                  "tolerant-page strikes degrade, continue, and are billed");
+    harness.check(hetrel.ueInjected ==
+                          hetrel.tolerantUes + hetrel.criticalUes &&
+                      hetrel.jobKills == hetrel.criticalUes,
+                  "every UE accounted to exactly one page class");
+    harness.check(dmr.tolerantUes == 0 && dmr.jobsDegraded == 0 &&
+                      dmr.jobKills == dmr.ueInjected,
+                  "full dmr keeps the kill-on-any-UE ladder");
 }
 
 void
 runAllTolerantControl(const sched::ClusterConfig &hetrel_config,
                       const std::vector<traces::Job> &jobs,
-                      Checks &check,
+                      bench::Harness &harness,
                       sched::ClusterMetrics *out = nullptr)
 {
     // Control: with every page tolerant, the graceful-degradation path
@@ -345,11 +303,11 @@ runAllTolerantControl(const sched::ClusterConfig &hetrel_config,
     const sched::ClusterMetrics control =
         out != nullptr ? *out
                        : sched::ClusterSimulator(config).run(jobs);
-    check(control.ueInjected > 0 && control.jobKills == 0 &&
-              control.requeues == 0 &&
-              control.tolerantUes == control.ueInjected &&
-              control.dataQualityPenalty > 0.0,
-          "all-tolerant control: UE bursts continue, never kill");
+    harness.check(control.ueInjected > 0 && control.jobKills == 0 &&
+                      control.requeues == 0 &&
+                      control.tolerantUes == control.ueInjected &&
+                      control.dataQualityPenalty > 0.0,
+                  "all-tolerant control: UE bursts continue, never kill");
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +316,7 @@ runAllTolerantControl(const sched::ClusterConfig &hetrel_config,
 
 void
 runSdcSection(const fault::DriftScenarioConfig &scenario,
-              double accesses_per_hour, Checks &check)
+              double accesses_per_hour, bench::Harness &harness)
 {
     const auto escape =
         static_cast<unsigned>(verify::AccessClass::kSilentEscape);
@@ -404,14 +362,14 @@ runSdcSection(const fault::DriftScenarioConfig &scenario,
                 static_cast<unsigned long long>(
                     drift_report.total.escapesByPageClass[1]));
 
-    check(base_report.total.unclassified == 0 &&
-              drift_report.total.unclassified == 0,
-          "every audited access classified");
-    check(drift_report.detectedErrors > base_report.detectedErrors,
-          "drift bursts raise detected-error pressure");
-    check(base_report.total.escapesByPageClass[0] == 0 &&
-              drift_report.total.escapesByPageClass[0] == 0,
-          "zero critical-page silent escapes (raw)");
+    harness.check(base_report.total.unclassified == 0 &&
+                      drift_report.total.unclassified == 0,
+                  "every audited access classified");
+    harness.check(drift_report.detectedErrors > base_report.detectedErrors,
+                  "drift bursts raise detected-error pressure");
+    harness.check(base_report.total.escapesByPageClass[0] == 0 &&
+                      drift_report.total.escapesByPageClass[0] == 0,
+                  "zero critical-page silent escapes (raw)");
 
     // Importance-sampled pass: every constructed escape must still be
     // pinned to a page class, and the measured per-wide-error escape
@@ -422,83 +380,29 @@ runSdcSection(const fault::DriftScenarioConfig &scenario,
     verify::SdcAudit tail(sampled);
     tail.run();
     const verify::SdcAuditReport tail_report = tail.report();
-    check(tail_report.total.escapesByPageClass[0] +
-                  tail_report.total.escapesByPageClass[1] ==
-              tail_report.total.raw[escape],
-          "page-class split covers every sampled escape");
-    check(tail_report.escapeConsistentWith(
-              ecc::BambooCodec::escapeProbability8BPlus(), 2.0),
-          "sampled escape rate consistent with 2^-64 bound");
-}
-
-// ---------------------------------------------------------------------
-// Section 4: interrupt/resume bit-identity (placement state rides the
-// digest trail exactly like every other RunState field).
-// ---------------------------------------------------------------------
-
-void
-runInterruptResumeCheck(const sched::ClusterConfig &config,
-                        const std::vector<traces::Job> &jobs,
-                        double stop_after_seconds,
-                        double digest_every_seconds, Checks &check)
-{
-    sched::RunOptions options;
-    options.digestEverySeconds = digest_every_seconds;
-
-    sched::ClusterSimulator straight(config);
-    const sched::RunOutcome full = straight.run(jobs, options);
-    check(full.completed && !full.digests.digests.empty(),
-          "straight-through run records a digest trail");
-
-    std::vector<std::uint8_t> image;
-    sched::RunOptions stopping = options;
-    stopping.stopAfterSeconds = stop_after_seconds;
-    stopping.snapshotSink =
-        [&image](const std::vector<std::uint8_t> &state) {
-            image = state;
-        };
-    sched::ClusterSimulator interrupted(config);
-    const sched::RunOutcome partial = interrupted.run(jobs, stopping);
-    check(!partial.completed && !image.empty(),
-          "mid-campaign interrupt emits a snapshot");
-
-    sched::ClusterSimulator resumed_sim(config);
-    const util::Status restored =
-        resumed_sim.restoreState(image, jobs);
-    if (!restored.ok()) {
-        std::fprintf(stderr,
-                     "ablation_hetreliability: restore failed: %s\n",
-                     restored.message().c_str());
-        check(false, "mid-campaign snapshot restores");
-        return;
-    }
-    check(true, "mid-campaign snapshot restores");
-    const sched::RunOutcome resumed = resumed_sim.resume(options);
-    check(resumed.completed, "resumed campaign runs to completion");
-    check(sched::metricsIdentical(full.metrics, resumed.metrics),
-          "resumed metrics bit-identical to straight-through");
-    check(!snapshot::DigestTrail::firstDivergence(full.digests,
-                                                  resumed.digests)
-               .has_value(),
-          "digest trail identical across interrupt/resume");
+    harness.check(tail_report.total.escapesByPageClass[0] +
+                          tail_report.total.escapesByPageClass[1] ==
+                      tail_report.total.raw[escape],
+                  "page-class split covers every sampled escape");
+    harness.check(tail_report.escapeConsistentWith(
+                      ecc::BambooCodec::escapeProbability8BPlus(), 2.0),
+                  "sampled escape rate consistent with 2^-64 bound");
 }
 
 /** The deterministic self-checking campaign ctest gates on. */
 int
-runSmoke()
+runSmoke(bench::Harness &harness)
 {
-    Checks check;
-
     std::printf("HET-RELIABILITY ABLATION (smoke)\n\n");
 
-    runNodeSection(40000, check);
+    runNodeSection(40000, harness);
 
     // Section 2: a one-week 64-node fleet slice under the drift
     // overlay, with the UE hazard pushed high enough that tolerant
     // strikes actually land inside the horizon.
     const double horizon_hours = 7.0 * 24.0;
     const fault::DriftScenarioConfig scenario =
-        referenceScenario(horizon_hours, 8, 4, 1500.0, 12.0);
+        bench::referenceScenario(horizon_hours, 8, 4, 1500.0, 12.0);
     const std::vector<fault::FaultEvent> overlay =
         fault::DriftChaosCampaign(scenario).clusterSchedule();
 
@@ -524,9 +428,9 @@ runSmoke()
     const sched::ClusterConfig hetrel_config =
         leg(true, core::PlacementMode::kHetReliability);
 
-    check(sched::ClusterSimulator(dmr_config).configDigest() !=
-              sched::ClusterSimulator(hetrel_config).configDigest(),
-          "placement mode is fingerprinted into configDigest");
+    harness.check(sched::ClusterSimulator(dmr_config).configDigest() !=
+                      sched::ClusterSimulator(hetrel_config).configDigest(),
+                  "placement mode is fingerprinted into configDigest");
 
     const sched::ClusterMetrics conventional =
         sched::ClusterSimulator(
@@ -548,27 +452,19 @@ runSmoke()
     printFleetTable(conventional, labels, legs);
     std::printf("\n");
 
-    runFleetChecks(dmr, hetrel, hybrid, check);
-    runAllTolerantControl(hetrel_config, jobs, check);
+    runFleetChecks(dmr, hetrel, hybrid, harness);
+    runAllTolerantControl(hetrel_config, jobs, harness);
 
-    // Section 4: interrupt/resume on the leg carrying placement state.
-    runInterruptResumeCheck(hetrel_config, jobs,
-                            trace_model.spanSeconds / 2.0, 21600.0,
-                            check);
+    // Section 4: interrupt/resume on the leg carrying placement state
+    // (it rides the digest trail like every other RunState field).
+    bench::runInterruptResumeCheck(hetrel_config, jobs,
+                                   trace_model.spanSeconds / 2.0,
+                                   21600.0, harness);
 
     // Section 3: page-class containment on a small audit fleet.
-    runSdcSection(referenceScenario(8.0, 2, 1, 0.0, 500.0), 1.0e8,
-                  check);
-
-    if (check.failures > 0) {
-        std::fprintf(stderr,
-                     "ablation_hetreliability: %d smoke check(s) "
-                     "FAILED\n",
-                     check.failures);
-        return 1;
-    }
-    std::printf("\nablation_hetreliability: all smoke checks passed\n");
-    return 0;
+    runSdcSection(bench::referenceScenario(8.0, 2, 1, 0.0, 500.0), 1.0e8,
+                  harness);
+    return harness.finish();
 }
 
 } // namespace
@@ -576,20 +472,23 @@ runSmoke()
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            if (argc != 2)
-                util::fatal("ablation_hetreliability: --smoke takes "
-                            "no other flags");
-            return runSmoke();
-        }
+    bench::Harness harness("ablation_hetreliability");
+    bool smoke = false;
+    harness.flag("--smoke", &smoke,
+                 "deterministic self-checking campaign (takes no "
+                 "other flag)");
+    bench::SweepRunner runner(harness);
+    harness.parse(argc, argv);
+    if (smoke) {
+        if (argc != 2)
+            util::fatal("ablation_hetreliability: --smoke takes no "
+                        "other flags");
+        return runSmoke(harness);
     }
-
-    bench::SweepRunner runner("ablation_hetreliability", argc, argv);
-    Checks check;
+    runner.start();
 
     std::printf("HET-RELIABILITY ABLATION: placement sweep\n\n");
-    runNodeSection(40000, check);
+    runNodeSection(40000, harness);
 
     traces::JobTraceModel trace_model;
     traces::GrizzlyTraceGenerator generator(trace_model, 42);
@@ -597,7 +496,7 @@ main(int argc, char **argv)
 
     const double horizon_hours = trace_model.spanSeconds / 3600.0;
     const fault::DriftScenarioConfig scenario =
-        referenceScenario(horizon_hours, 64, 16, 100.0, 2.0);
+        bench::referenceScenario(horizon_hours, 64, 16, 100.0, 2.0);
     const std::vector<fault::FaultEvent> overlay =
         fault::DriftChaosCampaign(scenario).clusterSchedule();
 
@@ -643,12 +542,10 @@ main(int argc, char **argv)
     printFleetTable(conventional, labels, legs);
     std::printf("\n");
 
-    runFleetChecks(dmr, hetrel, hybrid, check);
-    runAllTolerantControl(control_config, jobs, check, &control);
+    runFleetChecks(dmr, hetrel, hybrid, harness);
+    runAllTolerantControl(control_config, jobs, harness, &control);
 
-    runSdcSection(referenceScenario(24.0, 4, 1, 0.0, 250.0), 2.0e8,
-                  check);
-
-    const int rc = runner.finish();
-    return rc != 0 ? rc : (check.failures > 0 ? 1 : 0);
+    runSdcSection(bench::referenceScenario(24.0, 4, 1, 0.0, 250.0), 2.0e8,
+                  harness);
+    return runner.finish();
 }

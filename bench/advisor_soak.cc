@@ -27,11 +27,11 @@
  * the snapshot and exits immediately with code 131 (the double-signal
  * escape hatch; a clean interrupt exits 130).
  *
- * Flags:
+ * Flags (bench::Harness syntax; see --help):
  *   --smoke                  short deterministic gate mode
  *   --seed=<n>               load-generator seed (default 1)
- *   --telemetry-out=<dir>    export service metrics (CSV + JSON) and
- *                            the BENCH_advisor_soak.json perf record
+ *   --telemetry-out=<dir>    export service metrics and the
+ *                            BENCH_advisor_soak.json perf record
  */
 
 #include <algorithm>
@@ -40,25 +40,19 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "fault/slow_path.hh"
+#include "harness.hh"
 #include "serve/advisor.hh"
 #include "serve/service.hh"
 #include "serve/wire.hh"
 #include "snapshot/keeper.hh"
 #include "snapshot/serializer.hh"
-#include "telemetry/bench_record.hh"
-#include "telemetry/metrics.hh"
-#include "telemetry/sinks.hh"
-#include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/status.hh"
 
@@ -67,21 +61,6 @@ namespace
 
 using namespace hdmr;
 using namespace hdmr::serve;
-
-/** Exit code of the double-signal escape hatch (one signal: 130). */
-constexpr int kForcedExitCode = 131;
-
-volatile std::sig_atomic_t g_interrupted = 0;
-
-extern "C" void
-onSignal(int)
-{
-    // Second signal: the user really means it.  Skip the snapshot and
-    // exit immediately (async-signal-safe, hence _exit).
-    if (g_interrupted != 0)
-        _exit(kForcedExitCode);
-    g_interrupted = 1;
-}
 
 struct SoakScale
 {
@@ -243,30 +222,16 @@ submitAndWait(AdvisorService &service, Tally &tally,
 }
 
 int
-run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
+run(bool smoke, std::uint64_t seed, bench::Harness &harness)
 {
-    const telemetry::WallTimer timer;
     const SoakScale scale = smoke ? SoakScale{} : fullScale();
     util::Rng rng(seed);
 
-    int failures = 0;
-    const auto gate = [&failures](bool ok, const char *what) {
-        std::printf("soak: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    };
-
     fault::SlowPathInjector injector;
     const std::string keeper_path =
-        telemetry_dir.empty()
-            ? "advisor_soak_state.snap"
-            : telemetry_dir + "/advisor_soak_state.snap";
-    if (!telemetry_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(telemetry_dir, ec);
-        if (ec)
-            util::fatal("advisor_soak: cannot create '%s': %s",
-                        telemetry_dir.c_str(), ec.message().c_str());
-    }
+        harness.telemetryEnabled()
+            ? harness.telemetryDir() + "/advisor_soak_state.snap"
+            : "advisor_soak_state.snap";
     snapshot::Keeper keeper(keeper_path, 2);
 
     std::uint64_t next_id = 1;
@@ -310,8 +275,8 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
         }
         tally.awaitTotal(submitted);
         const ServiceCounters afterSteady = service.counters();
-        gate(afterSteady.totalShed() == 0,
-             "steady: no shedding at the nominal rate");
+        harness.check(afterSteady.totalShed() == 0,
+                      "steady: no shedding at the nominal rate");
 
         // ---- Phase 2: burst of cache-busting unique mixes. ----
         // The overload is structural, not a scheduling race: the
@@ -331,15 +296,15 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
         injector.release();
         tally.awaitTotal(submitted);
         const ServiceCounters afterBurst = service.counters();
-        gate(afterBurst.totalShed() > afterSteady.totalShed(),
-             "burst: overload engaged the shedder");
+        harness.check(afterBurst.totalShed() > afterSteady.totalShed(),
+                      "burst: overload engaged the shedder");
         p50 = service.latencyQuantileMicros(0.50);
         p99 = service.latencyQuantileMicros(0.99);
         // Shedding must keep served latency bounded by the deadline
         // scale (log2 buckets overshoot by at most 2x), not by the
         // depth of an unbounded backlog.
-        gate(p99 <= (1u << 19),
-             "burst: served p99 stays bounded (< 0.53 s)");
+        harness.check(p99 <= (1u << 19),
+                      "burst: served p99 stays bounded (< 0.53 s)");
 
         // ---- Phase 3: slow rollouts open the breaker. ----
         const std::uint64_t openedBefore =
@@ -353,10 +318,10 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
             (void)submitAndWait(service, tally, request);
         }
         injector.disarm();
-        gate(service.engine().stats().rolloutsDeadlineHit > 0,
-             "slow: stalled rollouts degraded at the deadline");
-        gate(service.engine().breaker().openedCount() > openedBefore,
-             "slow: consecutive timeouts opened the breaker");
+        harness.check(service.engine().stats().rolloutsDeadlineHit > 0,
+                      "slow: stalled rollouts degraded at the deadline");
+        harness.check(service.engine().breaker().openedCount() > openedBefore,
+                      "slow: consecutive timeouts opened the breaker");
 
         // ---- Phase 4: recovery recloses the breaker. ----
         std::this_thread::sleep_for(std::chrono::microseconds(
@@ -369,12 +334,12 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
             ++submitted;
             (void)submitAndWait(service, tally, request);
         }
-        gate(service.engine().breaker().halfOpenedCount() > 0,
-             "recover: a half-open probe was admitted");
-        gate(service.engine().breaker().reclosedCount() > 0 &&
-                 service.engine().breaker().state() ==
-                     CircuitBreaker::State::kClosed,
-             "recover: the probe reclosed the breaker");
+        harness.check(service.engine().breaker().halfOpenedCount() > 0,
+                      "recover: a half-open probe was admitted");
+        harness.check(service.engine().breaker().reclosedCount() > 0 &&
+                          service.engine().breaker().state() ==
+                              CircuitBreaker::State::kClosed,
+                      "recover: the probe reclosed the breaker");
 
         // ---- Phase 5: SIGTERM -> drain -> snapshot. ----
         // Pin one known-warm decision first so the restart can be
@@ -386,29 +351,29 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
         ++submitted;
         const ServedResponse exact =
             submitAndWait(service, tally, warm);
-        gate(exact.status.ok() &&
-                 exact.decision.quality == Quality::kExact,
-             "drain: warm-up decision is exact");
+        harness.check(exact.status.ok() &&
+                          exact.decision.quality == Quality::kExact,
+                      "drain: warm-up decision is exact");
         warm.allowCached = true;
         ++submitted;
         const ServedResponse cached =
             submitAndWait(service, tally, warm);
-        gate(cached.status.ok() &&
-                 cached.decision.quality == Quality::kCached,
-             "drain: warm-up decision replays from the cache");
+        harness.check(cached.status.ok() &&
+                          cached.decision.quality == Quality::kCached,
+                      "drain: warm-up decision replays from the cache");
         preKillCachedBytes = encodeDecision(cached.decision);
 
         if (smoke)
             std::raise(SIGTERM); // exercise the real signal path
         const auto drainStart = std::chrono::steady_clock::now();
-        while (g_interrupted == 0 &&
+        while (!bench::stopRequested() &&
                std::chrono::steady_clock::now() - drainStart <
                    std::chrono::seconds(1))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
         const util::Status drained =
             service.drainAndSnapshot(keeper, 2'000'000);
-        gate(drained.ok(), "drain: clean drain within the deadline");
+        harness.check(drained.ok(), "drain: clean drain within the deadline");
         finalCounters = service.counters();
         finalStats = service.engine().stats();
         breakerOpened = service.engine().breaker().openedCount();
@@ -423,22 +388,22 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
                                  soakAdvisorConfig(seed));
         const util::Result<snapshot::Keeper::Loaded> loaded =
             keeper.loadLatestValid(snapshot::kAdvisorStateKind);
-        gate(loaded.ok(), "restart: warm-start snapshot loads");
+        harness.check(loaded.ok(), "restart: warm-start snapshot loads");
         if (loaded.ok()) {
             const util::Status restored =
                 restarted.engine().restoreState(loaded.value().payload);
-            gate(restored.ok(), "restart: engine state restores");
+            harness.check(restored.ok(), "restart: engine state restores");
             AdvisorRequest warm = uniqueMix(4'000'000);
             warm.id = 9999;
             warm.deadlineMicros = 200'000;
             ++submitted;
             const ServedResponse replay =
                 submitAndWait(restarted, tally, warm);
-            gate(replay.status.ok() &&
-                     replay.decision.quality == Quality::kCached &&
-                     encodeDecision(replay.decision) ==
-                         preKillCachedBytes,
-                 "restart: cached decision is bit-identical");
+            harness.check(replay.status.ok() &&
+                              replay.decision.quality == Quality::kCached &&
+                              encodeDecision(replay.decision) ==
+                                  preKillCachedBytes,
+                          "restart: cached decision is bit-identical");
         }
         restarted.beginDrain();
         (void)restarted.awaitDrain(1'000'000);
@@ -481,67 +446,37 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
                 static_cast<unsigned long long>(breakerHalfOpened),
                 static_cast<unsigned long long>(breakerReclosed));
 
-    gate(hard == 0, "soak: zero non-shed failures");
-    gate(answered == submitted,
-         "soak: every submitted request was answered");
+    harness.check(hard == 0, "soak: zero non-shed failures");
+    harness.check(answered == submitted,
+                  "soak: every submitted request was answered");
 
     // ---- Telemetry / perf-trajectory export. ----
-    if (!telemetry_dir.empty()) {
-        telemetry::Registry registry;
-        registry.counter("advisor.soak_submitted").set(submitted);
-        registry.counter("advisor.soak_answered").set(answered);
-        registry.counter("advisor.soak_shed").set(sheds);
-        registry.gauge("advisor.soak_p50_micros")
-            .set(static_cast<double>(p50));
-        registry.gauge("advisor.soak_p99_micros")
-            .set(static_cast<double>(p99));
-        registry.counter("advisor.shed_queue_full")
-            .set(finalCounters.shedQueueFull);
-        registry.counter("advisor.shed_queue_expired")
-            .set(finalCounters.shedQueueExpired);
-        registry.counter("advisor.shed_draining")
-            .set(finalCounters.shedDraining);
-        registry.counter("advisor.shed_retry_denied")
-            .set(finalCounters.shedRetryDenied);
-        registry.counter("advisor.decisions_exact")
-            .set(finalStats.decisionsExact);
-        registry.counter("advisor.decisions_cached")
-            .set(finalStats.decisionsCached);
-        registry.counter("advisor.decisions_degraded")
-            .set(finalStats.decisionsDegraded);
-        registry.counter("advisor.rollouts_deadline_hit")
-            .set(finalStats.rolloutsDeadlineHit);
-        registry.counter("advisor.breaker_opened").set(breakerOpened);
-        registry.counter("advisor.breaker_half_opened")
-            .set(breakerHalfOpened);
-        registry.counter("advisor.breaker_reclosed")
-            .set(breakerReclosed);
-        std::string error;
-        const std::string csv = telemetry_dir + "/metrics.csv";
-        if (!telemetry::writeMetricsCsv(registry, csv, &error))
-            util::fatal("advisor_soak: %s", error.c_str());
-        const std::string json = telemetry_dir + "/metrics.json";
-        if (!telemetry::writeMetricsJson(registry, json, &error))
-            util::fatal("advisor_soak: %s", error.c_str());
-
-        telemetry::BenchRecord record;
-        record.bench = "advisor_soak";
-        record.gitSha = telemetry::currentGitSha();
-        record.wallSeconds = timer.seconds();
-        record.simSeconds = 0.0;
-        record.simEvents = answered;
-        record.peakRssBytes = telemetry::currentPeakRssBytes();
-        record.threads = soakServiceConfig().workers;
-        std::string bench_path;
-        if (!telemetry::writeBenchRecord(telemetry_dir, record, &error,
-                                         &bench_path))
-            util::fatal("advisor_soak: %s", error.c_str());
-        std::printf("telemetry: %s, %s, %s\n", csv.c_str(),
-                    json.c_str(), bench_path.c_str());
-    }
-
-    std::printf("\nadvisor_soak: %d gate(s) failed\n", failures);
-    return failures == 0 ? 0 : 1;
+    telemetry::Registry &registry = harness.registry();
+    const std::pair<const char *, std::uint64_t> counters[] = {
+        {"advisor.soak_submitted", submitted},
+        {"advisor.soak_answered", answered},
+        {"advisor.soak_shed", sheds},
+        {"advisor.shed_queue_full", finalCounters.shedQueueFull},
+        {"advisor.shed_queue_expired", finalCounters.shedQueueExpired},
+        {"advisor.shed_draining", finalCounters.shedDraining},
+        {"advisor.shed_retry_denied", finalCounters.shedRetryDenied},
+        {"advisor.decisions_exact", finalStats.decisionsExact},
+        {"advisor.decisions_cached", finalStats.decisionsCached},
+        {"advisor.decisions_degraded", finalStats.decisionsDegraded},
+        {"advisor.rollouts_deadline_hit", finalStats.rolloutsDeadlineHit},
+        {"advisor.breaker_opened", breakerOpened},
+        {"advisor.breaker_half_opened", breakerHalfOpened},
+        {"advisor.breaker_reclosed", breakerReclosed},
+    };
+    for (const auto &[name, value] : counters)
+        registry.counter(name).set(value);
+    registry.gauge("advisor.soak_p50_micros")
+        .set(static_cast<double>(p50));
+    registry.gauge("advisor.soak_p99_micros")
+        .set(static_cast<double>(p99));
+    harness.addSimulated(0.0, answered);
+    harness.setThreads(soakServiceConfig().workers);
+    return harness.finish();
 }
 
 } // namespace
@@ -549,36 +484,12 @@ run(bool smoke, std::uint64_t seed, const std::string &telemetry_dir)
 int
 main(int argc, char **argv)
 {
+    bench::Harness harness("advisor_soak");
     bool smoke = false;
     std::uint64_t seed = 1;
-    std::string telemetry_dir;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        const auto flagValue = [&](const char *name) -> const char * {
-            const std::size_t len = std::strlen(name);
-            if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-                return arg + len + 1;
-            return nullptr;
-        };
-        if (std::strcmp(arg, "--smoke") == 0)
-            smoke = true;
-        else if ((value = flagValue("--seed")))
-            seed = std::strtoull(value, nullptr, 10);
-        else if ((value = flagValue("--telemetry-out")))
-            telemetry_dir = value;
-        else {
-            std::fprintf(stderr,
-                         "usage: advisor_soak [--smoke] [--seed=N] "
-                         "[--telemetry-out=DIR]\n"
-                         "(second SIGINT/SIGTERM during shutdown "
-                         "skips the snapshot; exit code %d)\n",
-                         kForcedExitCode);
-            return 2;
-        }
-    }
-
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-    return run(smoke, seed, telemetry_dir);
+    harness.flag("--smoke", &smoke, "short deterministic gate mode");
+    harness.flag("--seed", &seed, "load-generator seed (default 1)");
+    harness.parse(argc, argv);
+    bench::catchStopSignals();
+    return run(smoke, seed, harness);
 }

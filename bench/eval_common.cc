@@ -1,15 +1,12 @@
 #include "eval_common.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "node/runner.hh"
-#include "telemetry/sinks.hh"
 #include "traces/csv.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -208,59 +205,21 @@ marginSettingsGrid(const EvalSizing &sizing)
 }
 
 EvalHarness::EvalHarness(std::string bench_name, int argc, char **argv)
-    : bench_(std::move(bench_name))
+    : harness_(std::move(bench_name))
 {
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--telemetry-out=", 16) == 0) {
-            telemetryDir_ = arg + 16;
-            if (telemetryDir_.empty())
-                util::fatal("--telemetry-out expects a directory name");
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            char *end = nullptr;
-            const unsigned long value = std::strtoul(arg + 10, &end, 10);
-            if (end == arg + 10 || *end != '\0' || value > 4096)
-                util::fatal("--threads expects a worker count "
-                            "(got '%s')",
-                            arg + 10);
-            threads_ = static_cast<unsigned>(value);
-        } else if (std::strcmp(arg, "--help") == 0) {
-            std::printf("usage: %s [options]\n"
-                        "  --telemetry-out=<dir>  export grid metrics "
-                        "and BENCH_%s.json\n"
-                        "  --threads=<n>          worker threads for "
-                        "fresh grid runs\n"
-                        "  --help                 this text\n",
-                        bench_.c_str(), bench_.c_str());
-            std::exit(0);
-        } else {
-            util::fatal("unknown argument '%s' (try --help)", arg);
-        }
-    }
+    harness_.flag("--threads", &threads_,
+                  "worker threads for fresh grid runs (0 = host "
+                  "default)",
+                  0, 4096);
+    harness_.parse(argc, argv);
 }
 
 int
 EvalHarness::finish(std::initializer_list<const EvalGrid *> grids)
 {
-    if (!telemetryEnabled())
-        return 0;
-
-    std::error_code ec;
-    std::filesystem::create_directories(telemetryDir_, ec);
-    if (ec) {
-        std::fprintf(stderr,
-                     "warning: cannot create telemetry directory "
-                     "'%s': %s\n",
-                     telemetryDir_.c_str(), ec.message().c_str());
-        return 0;
-    }
-
-    telemetry::Registry registry;
-    double sim_seconds = 0.0;
-    std::uint64_t sim_events = 0;
+    telemetry::Registry &registry = harness_.registry();
     for (const EvalGrid *grid : grids) {
-        sim_seconds += grid->simSeconds();
-        sim_events += grid->simEvents();
+        harness_.addSimulated(grid->simSeconds(), grid->simEvents());
         for (const EvalRow &row : grid->rows()) {
             const std::string prefix =
                 "eval." +
@@ -283,36 +242,9 @@ EvalHarness::finish(std::initializer_list<const EvalGrid *> grids)
                 .set(row.writeBandwidthGBs);
         }
     }
-
-    std::string error;
-    const std::string csv_path = telemetryDir_ + "/metrics.csv";
-    if (!telemetry::writeMetricsCsv(registry, csv_path, &error))
-        std::fprintf(stderr, "warning: %s\n", error.c_str());
-    const std::string json_path = telemetryDir_ + "/metrics.json";
-    if (!telemetry::writeMetricsJson(registry, json_path, &error))
-        std::fprintf(stderr, "warning: %s\n", error.c_str());
-
-    telemetry::BenchRecord record;
-    record.bench = bench_;
-    record.gitSha = telemetry::currentGitSha();
-    record.wallSeconds = timer_.seconds();
-    record.simSeconds = sim_seconds;
-    record.simEvents = sim_events;
-    record.peakRssBytes = telemetry::currentPeakRssBytes();
-    if (threads_ > 0) {
-        record.threads = threads_;
-    } else {
-        const unsigned hw = std::thread::hardware_concurrency();
-        record.threads = hw == 0 ? 4 : hw;
-    }
-    std::string record_path;
-    if (!telemetry::writeBenchRecord(telemetryDir_, record, &error,
-                                     &record_path))
-        std::fprintf(stderr, "warning: %s\n", error.c_str());
-
-    std::printf("\ntelemetry: %s, %s, %s\n", csv_path.c_str(),
-                json_path.c_str(), record_path.c_str());
-    return 0;
+    const unsigned hw = std::thread::hardware_concurrency();
+    harness_.setThreads(threads_ > 0 ? threads_ : (hw == 0 ? 4 : hw));
+    return harness_.finish();
 }
 
 double

@@ -1,15 +1,10 @@
 /**
  * @file
- * Shared harness code for the figure/table reproductions: runs the
- * Section IV-A evaluation grid (memory systems x margins x usage
- * buckets x hierarchies x benchmarks) through the parallel node
- * runner and caches raw results in a CSV under results/ so related
- * figures (12, 13, 14, 16) reuse one grid run.
- *
- * EvalHarness gives every grid-driven figure the shared CLI:
- *   --telemetry-out=<dir>  export grid metrics (CSV + JSON) and a
- *                          BENCH_<name>.json perf-trajectory record
- *   --threads=<n>          worker threads for fresh grid runs
+ * Shared code for the grid-driven figures: runs the Section IV-A
+ * evaluation grid (memory systems x margins x usage buckets x
+ * hierarchies x benchmarks) through the parallel node runner and
+ * caches raw results in a CSV under results/ so related figures
+ * (12, 13, 14, 16) reuse one grid run.
  */
 
 #ifndef HDMR_BENCH_EVAL_COMMON_HH
@@ -21,10 +16,9 @@
 #include <vector>
 
 #include "eval_cache.hh"
+#include "harness.hh"
 #include "node/config.hh"
 #include "node/node_system.hh"
-#include "telemetry/bench_record.hh"
-#include "telemetry/telemetry.hh"
 
 namespace hdmr::bench
 {
@@ -95,31 +89,29 @@ class EvalGrid
     std::uint64_t simEvents_ = 0;
 };
 
-/** Shared CLI + telemetry export for the grid-driven figures. */
+/**
+ * The grid-driven figures' Harness plus their one own flag,
+ * --threads=<n> (worker threads for fresh grid runs).
+ */
 class EvalHarness
 {
   public:
-    /** Parses the shared flags; fatal on unknown arguments. */
+    /** Parses the flags; fatal on bad arguments. */
     EvalHarness(std::string bench_name, int argc, char **argv);
 
     /** Worker threads requested for fresh grid runs (0 = default). */
     unsigned threads() const { return threads_; }
 
-    bool telemetryEnabled() const { return !telemetryDir_.empty(); }
-
     /**
-     * Final bookkeeping: with --telemetry-out, publishes every row of
-     * every grid as gauges ("eval.<hierarchy>.<system>.m<margin>.
-     * u<usage>.<benchmark>.<field>"), writes metrics.csv/metrics.json
-     * and the BENCH_<name>.json record.  Returns the exit code (0).
+     * Publishes every row of every grid as gauges ("eval.<hierarchy>.
+     * <system>.m<margin>.u<usage>.<benchmark>.<field>") for the
+     * telemetry export, then Harness::finish().
      */
     int finish(std::initializer_list<const EvalGrid *> grids);
 
   private:
-    std::string bench_;
-    std::string telemetryDir_;
+    Harness harness_;
     unsigned threads_ = 0;
-    telemetry::WallTimer timer_;
 };
 
 /** The full Section IV-A grid (Figs. 12/13/14). */

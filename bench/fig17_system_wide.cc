@@ -18,7 +18,10 @@ main(int argc, char **argv)
 {
     using namespace hdmr;
 
-    bench::SweepRunner runner("fig17_system_wide", argc, argv);
+    bench::Harness harness("fig17_system_wide");
+    bench::SweepRunner runner(harness);
+    harness.parse(argc, argv);
+    runner.start();
 
     traces::JobTraceModel trace_model;
     traces::GrizzlyTraceGenerator generator(trace_model, 42);

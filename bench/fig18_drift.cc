@@ -40,19 +40,17 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "drift_campaign.hh"
 #include "ecc/bamboo.hh"
 #include "fault/drift_chaos.hh"
 #include "sched/cluster_sim.hh"
-#include "snapshot/digest.hh"
 #include "snapshot/serializer.hh"
 #include "snapshot_cli.hh"
 #include "traces/job_trace.hh"
 #include "util/logging.hh"
-#include "util/status.hh"
 #include "util/table.hh"
 #include "verify/audit.hh"
 
@@ -67,33 +65,6 @@ constexpr double kNodeFailuresPerHour = 2.0e-6;
 constexpr double kDemotionsPerHour = 1.0e-5;
 /** UE elevation while a static-margin fleet flies eroded margins. */
 constexpr double kStaticDriftUeFactor = 4.0;
-
-/** The reference drift scenario, scaled to a trace horizon. */
-fault::DriftScenarioConfig
-referenceScenario(double horizon_hours, unsigned modules,
-                  unsigned targets_per_module, double aging_rate,
-                  double spikes_per_kilo_hour)
-{
-    fault::DriftScenarioConfig scenario;
-    scenario.drift.seed = 0xd21f7;
-    scenario.drift.modules = modules;
-    scenario.drift.horizonHours = horizon_hours;
-    scenario.drift.agingMtsPerKiloHour = aging_rate;
-    scenario.drift.agingSigma = 0.5;
-    scenario.drift.agingExponent = 1.0;
-    scenario.drift.cohortSize = 8;
-    scenario.drift.cohortCorrelation = 0.5;
-    scenario.drift.diurnalAmplitudeC = 12.0;
-    scenario.drift.diurnalPeakHour = 14.0;
-    scenario.drift.spikesPerKiloHour = spikes_per_kilo_hour;
-    scenario.drift.spikeMeanHours = 0.25;
-    scenario.drift.spikeErrorMultiplier = 6.0;
-    scenario.marginStepMts = 200.0;
-    scenario.targetsPerModule = targets_per_module;
-    scenario.excursionThresholdC = 10.0;
-    scenario.spikeBurstErrors = 200.0;
-    return scenario;
-}
 
 sched::ClusterConfig
 legConfig(bool hdmr, const std::vector<fault::FaultEvent> &overlay,
@@ -153,19 +124,6 @@ schedulesIdentical(const std::vector<fault::FaultEvent> &a,
     return true;
 }
 
-/** Incrementing check harness shared by smoke and the full campaign. */
-struct Checks
-{
-    int failures = 0;
-
-    void
-    operator()(bool ok, const char *what)
-    {
-        std::printf("check: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    }
-};
-
 /**
  * The SDC leg pair: the same audit fleet with and without the drift
  * scenario's error-burst overlay.  Run with the constructed-escape
@@ -175,7 +133,7 @@ struct Checks
  */
 void
 runSdcSection(const fault::DriftScenarioConfig &scenario,
-              double accesses_per_hour, Checks &check)
+              double accesses_per_hour, bench::Harness &harness)
 {
     const auto escape =
         static_cast<unsigned>(verify::AccessClass::kSilentEscape);
@@ -214,14 +172,14 @@ runSdcSection(const fault::DriftScenarioConfig &scenario,
                 static_cast<unsigned long long>(
                     drift_report.total.raw[escape]));
 
-    check(base_report.total.unclassified == 0 &&
-              drift_report.total.unclassified == 0,
-          "every audited access classified");
-    check(drift_report.detectedErrors > base_report.detectedErrors,
-          "drift bursts raise detected-error pressure");
-    check(drift_report.total.raw[escape] <=
-              base_report.total.raw[escape],
-          "zero silent-escape increase under drift");
+    harness.check(base_report.total.unclassified == 0 &&
+                      drift_report.total.unclassified == 0,
+                  "every audited access classified");
+    harness.check(drift_report.detectedErrors > base_report.detectedErrors,
+                  "drift bursts raise detected-error pressure");
+    harness.check(drift_report.total.raw[escape] <=
+                      base_report.total.raw[escape],
+                  "zero silent-escape increase under drift");
 
     // Importance-sampled pass: the measured per-wide-error escape
     // probability stays consistent with the codec's analytic bound.
@@ -230,72 +188,20 @@ runSdcSection(const fault::DriftScenarioConfig &scenario,
     sampled.wideOversample = 0.5;
     verify::SdcAudit tail(sampled);
     tail.run();
-    check(tail.report().escapeConsistentWith(
-              ecc::BambooCodec::escapeProbability8BPlus(), 2.0),
-          "escape rate under drift consistent with 2^-64 bound");
-}
-
-/**
- * Straight-through vs. interrupt-at-midpoint-and-resume on one leg;
- * bit-identity proven by metrics equality and the state-digest trail.
- */
-void
-runInterruptResumeCheck(const sched::ClusterConfig &config,
-                        const std::vector<traces::Job> &jobs,
-                        double stop_after_seconds,
-                        double digest_every_seconds, Checks &check)
-{
-    sched::RunOptions options;
-    options.digestEverySeconds = digest_every_seconds;
-
-    sched::ClusterSimulator straight(config);
-    const sched::RunOutcome full = straight.run(jobs, options);
-    check(full.completed && !full.digests.digests.empty(),
-          "straight-through run records a digest trail");
-
-    std::vector<std::uint8_t> image;
-    sched::RunOptions stopping = options;
-    stopping.stopAfterSeconds = stop_after_seconds;
-    stopping.snapshotSink =
-        [&image](const std::vector<std::uint8_t> &state) {
-            image = state;
-        };
-    sched::ClusterSimulator interrupted(config);
-    const sched::RunOutcome partial = interrupted.run(jobs, stopping);
-    check(!partial.completed && !image.empty(),
-          "mid-campaign interrupt emits a snapshot");
-
-    sched::ClusterSimulator resumed_sim(config);
-    const util::Status restored =
-        resumed_sim.restoreState(image, jobs);
-    if (!restored.ok()) {
-        std::fprintf(stderr, "fig18_drift: restore failed: %s\n",
-                     restored.message().c_str());
-        check(false, "mid-campaign snapshot restores");
-        return;
-    }
-    check(true, "mid-campaign snapshot restores");
-    const sched::RunOutcome resumed = resumed_sim.resume(options);
-    check(resumed.completed, "resumed campaign runs to completion");
-    check(sched::metricsIdentical(full.metrics, resumed.metrics),
-          "resumed metrics bit-identical to straight-through");
-    check(!snapshot::DigestTrail::firstDivergence(full.digests,
-                                                  resumed.digests)
-               .has_value(),
-          "digest trail identical across interrupt/resume");
+    harness.check(tail.report().escapeConsistentWith(
+                      ecc::BambooCodec::escapeProbability8BPlus(), 2.0),
+                  "escape rate under drift consistent with 2^-64 bound");
 }
 
 /** The deterministic self-checking campaign ctest gates on. */
 int
-runSmoke()
+runSmoke(bench::Harness &harness)
 {
-    Checks check;
-
     // A compressed scenario: one week, 64 nodes, aging fast enough
     // that most modules cross a margin step inside the horizon.
     const double horizon_hours = 7.0 * 24.0;
     const fault::DriftScenarioConfig scenario =
-        referenceScenario(horizon_hours, 8, 4, 1500.0, 12.0);
+        bench::referenceScenario(horizon_hours, 8, 4, 1500.0, 12.0);
 
     std::printf("FIG. 18 DRIFT (smoke): %u drift modules x %.0f h\n\n",
                 scenario.drift.modules, horizon_hours);
@@ -303,33 +209,33 @@ runSmoke()
     // Schedule determinism and realization fingerprinting.
     fault::DriftChaosCampaign chaos(scenario);
     fault::DriftChaosCampaign again(scenario);
-    check(schedulesIdentical(chaos.schedule(), again.schedule()) &&
-              chaos.model().digest() == again.model().digest(),
-          "drift schedule is a pure function of the scenario");
+    harness.check(schedulesIdentical(chaos.schedule(), again.schedule()) &&
+                      chaos.model().digest() == again.model().digest(),
+                  "drift schedule is a pure function of the scenario");
     const std::vector<fault::FaultEvent> overlay =
         chaos.clusterSchedule();
-    check(countKind(overlay, fault::FaultKind::kGroupDemotion) > 0 &&
-              countKind(overlay,
-                        fault::FaultKind::kTemperatureExcursion) > 0 &&
-              countKind(chaos.schedule(),
-                        fault::FaultKind::kErrorBurst) > 0,
-          "reference scenario produces all three drift event kinds");
+    harness.check(countKind(overlay, fault::FaultKind::kGroupDemotion) > 0 &&
+                      countKind(overlay,
+                                fault::FaultKind::kTemperatureExcursion) > 0 &&
+                      countKind(chaos.schedule(),
+                                fault::FaultKind::kErrorBurst) > 0,
+                  "reference scenario produces all three drift event kinds");
 
     snapshot::Serializer out;
     chaos.model().save(out);
     {
         margin::MarginDriftModel same(scenario.drift);
         snapshot::Deserializer in(out.data());
-        check(same.restore(in) && in.ok() && in.remaining() == 0,
-              "drift realization fingerprint round-trips");
+        harness.check(same.restore(in) && in.ok() && in.remaining() == 0,
+                      "drift realization fingerprint round-trips");
     }
     {
         margin::DriftConfig other = scenario.drift;
         other.seed ^= 1;
         margin::MarginDriftModel different(other);
         snapshot::Deserializer in(out.data());
-        check(!different.restore(in),
-              "fingerprint rejects a different drift realization");
+        harness.check(!different.restore(in),
+                      "fingerprint rejects a different drift realization");
     }
 
     // The fleet sweep on a one-week trace slice.
@@ -362,37 +268,29 @@ runSmoke()
     const auto recal =
         sched::ClusterSimulator(recal_config).run(jobs);
 
-    check(statm.nodesDemoted > clean.nodesDemoted &&
-              statm.excursions > 0 && recal.excursions > 0,
-          "drift overlay lands demotions and hot windows");
+    harness.check(statm.nodesDemoted > clean.nodesDemoted &&
+                      statm.excursions > 0 && recal.excursions > 0,
+                  "drift overlay lands demotions and hot windows");
 
     const double static_loss = throughputLoss(clean, statm);
     const double recal_loss = throughputLoss(clean, recal);
     std::printf("\nthroughput loss vs clean: static %.2f%%, "
                 "recalibrating %.2f%%\n",
                 static_loss * 100.0, recal_loss * 100.0);
-    check(recal_loss <= 0.15,
-          "recalibrating fleet keeps throughput loss <= 15%");
-    check(recal_loss <= static_loss + 0.02,
-          "recalibration degrades no worse than static margins");
+    harness.check(recal_loss <= 0.15,
+                  "recalibrating fleet keeps throughput loss <= 15%");
+    harness.check(recal_loss <= static_loss + 0.02,
+                  "recalibration degrades no worse than static margins");
 
     // Interrupt/resume bit-identity on the most eventful leg.
-    runInterruptResumeCheck(static_config, jobs,
-                            trace_model.spanSeconds / 2.0, 21600.0,
-                            check);
+    bench::runInterruptResumeCheck(static_config, jobs,
+                                   trace_model.spanSeconds / 2.0,
+                                   21600.0, harness);
 
     // SDC containment: drift bursts on a small audit fleet.
-    fault::DriftScenarioConfig audit_scenario =
-        referenceScenario(8.0, 2, 1, 0.0, 500.0);
-    runSdcSection(audit_scenario, 1.0e8, check);
-
-    if (check.failures > 0) {
-        std::fprintf(stderr, "fig18_drift: %d smoke check(s) FAILED\n",
-                     check.failures);
-        return 1;
-    }
-    std::printf("\nfig18_drift: all smoke checks passed\n");
-    return 0;
+    runSdcSection(bench::referenceScenario(8.0, 2, 1, 0.0, 500.0), 1.0e8,
+                  harness);
+    return harness.finish();
 }
 
 } // namespace
@@ -400,16 +298,19 @@ runSmoke()
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            if (argc != 2)
-                util::fatal("fig18_drift: --smoke takes no other "
-                            "flags");
-            return runSmoke();
-        }
+    bench::Harness harness("fig18_drift");
+    bool smoke = false;
+    harness.flag("--smoke", &smoke,
+                 "deterministic self-checking campaign (takes no "
+                 "other flag)");
+    bench::SweepRunner runner(harness);
+    harness.parse(argc, argv);
+    if (smoke) {
+        if (argc != 2)
+            util::fatal("fig18_drift: --smoke takes no other flags");
+        return runSmoke(harness);
     }
-
-    bench::SweepRunner runner("fig18_drift", argc, argv);
+    runner.start();
 
     traces::JobTraceModel trace_model;
     traces::GrizzlyTraceGenerator generator(trace_model, 42);
@@ -417,7 +318,7 @@ main(int argc, char **argv)
 
     const double horizon_hours = trace_model.spanSeconds / 3600.0;
     const fault::DriftScenarioConfig scenario =
-        referenceScenario(horizon_hours, 64, 16, 100.0, 2.0);
+        bench::referenceScenario(horizon_hours, 64, 16, 100.0, 2.0);
     fault::DriftChaosCampaign chaos(scenario);
     const std::vector<fault::FaultEvent> overlay =
         chaos.clusterSchedule();
@@ -492,16 +393,12 @@ main(int argc, char **argv)
                 "  recalibrating under drift    %6.2f%%\n\n",
                 static_loss * 100.0, recal_loss * 100.0);
 
-    Checks check;
-    check(recal_loss <= 0.15,
-          "recalibrating fleet keeps throughput loss <= 15%");
-    check(recal_loss <= static_loss + 0.02,
-          "recalibration degrades no worse than static margins");
+    harness.check(recal_loss <= 0.15,
+                  "recalibrating fleet keeps throughput loss <= 15%");
+    harness.check(recal_loss <= static_loss + 0.02,
+                  "recalibration degrades no worse than static margins");
 
-    fault::DriftScenarioConfig audit_scenario =
-        referenceScenario(24.0, 4, 1, 0.0, 250.0);
-    runSdcSection(audit_scenario, 2.0e8, check);
-
-    const int rc = runner.finish();
-    return rc != 0 ? rc : (check.failures > 0 ? 1 : 0);
+    runSdcSection(bench::referenceScenario(24.0, 4, 1, 0.0, 250.0), 2.0e8,
+                  harness);
+    return runner.finish();
 }

@@ -29,7 +29,10 @@ main(int argc, char **argv)
 {
     using namespace hdmr;
 
-    bench::SweepRunner runner("fig18_resilience", argc, argv);
+    bench::Harness harness("fig18_resilience");
+    bench::SweepRunner runner(harness);
+    harness.parse(argc, argv);
+    runner.start();
 
     traces::JobTraceModel trace_model;
     traces::GrizzlyTraceGenerator generator(trace_model, 42);

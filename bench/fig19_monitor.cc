@@ -30,28 +30,24 @@
  *     save/restore round trip, and a fresh sampler+engine restored
  *     from the image digests identically.
  *
- * Flags (unknown flags are fatal):
- *   --smoke                small deterministic run + the gates
- *   --telemetry-out=<dir>  export metrics (CSV + JSON) plus a
- *                          BENCH_fig19_monitor.json perf record
+ * Flags (bench::Harness; see --help): --smoke (small deterministic
+ * run + the gates), --dump-schemes (print the shipped scheme text),
+ * --telemetry-out.
  */
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "harness.hh"
 #include "monitor/monitor.hh"
 #include "monitor/scheme.hh"
 #include "node/config.hh"
 #include "node/node_system.hh"
 #include "snapshot/serializer.hh"
-#include "telemetry/bench_record.hh"
-#include "telemetry/sinks.hh"
-#include "telemetry/telemetry.hh"
-#include "util/logging.hh"
+#include "util/status.hh"
 
 namespace
 {
@@ -152,33 +148,27 @@ makeConfig(bool phase_heavy, Leg leg, bool smoke)
     return config;
 }
 
-/** Publishes per-leg metrics and totals for the perf record. */
-struct Recorder
+/** Run one leg and publish its metrics into the harness. */
+node::NodeStats
+runLeg(bench::Harness &harness, const node::NodeConfig &config,
+       const std::string &metric)
 {
-    telemetry::Registry registry;
-    std::uint64_t simEvents = 0;
-    double simSeconds = 0.0;
-
-    node::NodeStats
-    run(const node::NodeConfig &config, const std::string &metric)
-    {
-        const node::NodeStats stats = node::NodeSystem(config).run();
-        simEvents += stats.memOps;
-        simSeconds += stats.execSeconds;
-        auto gauge = [&](const char *leaf, double value) {
-            registry.gauge("fig19." + metric + "." + leaf).set(value);
-        };
-        gauge("exec_seconds", stats.execSeconds);
-        gauge("write_mode_entries",
-              static_cast<double>(stats.writeModeEntries));
-        gauge("monitor_overhead_fraction",
-              stats.monitorOverheadFraction);
-        gauge("monitor_regions",
-              static_cast<double>(stats.monitorRegions));
-        gauge("scheme_fires", static_cast<double>(stats.schemeFires));
-        return stats;
-    }
-};
+    const node::NodeStats stats = node::NodeSystem(config).run();
+    harness.addSimulated(stats.execSeconds, stats.memOps);
+    const std::pair<const char *, double> gauges[] = {
+        {"exec_seconds", stats.execSeconds},
+        {"write_mode_entries",
+         static_cast<double>(stats.writeModeEntries)},
+        {"monitor_overhead_fraction", stats.monitorOverheadFraction},
+        {"monitor_regions", static_cast<double>(stats.monitorRegions)},
+        {"scheme_fires", static_cast<double>(stats.schemeFires)},
+    };
+    for (const auto &[leaf, value] : gauges)
+        harness.registry()
+            .gauge("fig19." + metric + "." + leaf)
+            .set(value);
+    return stats;
+}
 
 /** One monitor digest-trail entry: sampler state x engine state. */
 std::uint64_t
@@ -224,19 +214,10 @@ runDigestTrail(bool smoke, std::uint64_t roundtrip_at,
     return trail;
 }
 
-/**
- * The gates ctest's fig19_monitor_smoke enforces.  Returns the number
- * of failed checks (0 = pass) and prints a verdict per check.
- */
-int
-runChecks(bool smoke, Recorder &recorder)
+/** The legs and the gates ctest's fig19_monitor_smoke enforces. */
+void
+runChecks(bool smoke, bench::Harness &harness)
 {
-    int failures = 0;
-    const auto check = [&failures](bool ok, const char *what) {
-        std::printf("check: %-52s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    };
-
     // ---- The six legs. ----
     std::printf("%-14s %-10s %12s %12s %10s %8s\n", "workload", "leg",
                 "exec(us)", "wm-entries", "overhead", "fires");
@@ -247,8 +228,8 @@ runChecks(bool smoke, Recorder &recorder)
             const std::string metric =
                 std::string(shape ? "phase_heavy" : "steady") + "." +
                 legName(leg);
-            const node::NodeStats s =
-                recorder.run(makeConfig(shape == 1, leg, smoke), metric);
+            const node::NodeStats s = runLeg(
+                harness, makeConfig(shape == 1, leg, smoke), metric);
             stats[shape][static_cast<int>(leg)] = s;
             std::printf("%-14s %-10s %12.2f %12llu %9.3f%% %8llu\n",
                         shape ? "phase-heavy" : "steady", legName(leg),
@@ -264,27 +245,27 @@ runChecks(bool smoke, Recorder &recorder)
     for (int shape = 0; shape < 2; ++shape) {
         const double base = stats[shape][0].execSeconds;
         const double stat = stats[shape][1].execSeconds;
-        check(stat <= base * 1.02,
-              shape ? "phase-heavy: stat-leg overhead <= 2%"
-                    : "steady: stat-leg overhead <= 2%");
-        check(stats[shape][1].monitorOverheadFraction <=
-                  benchMonitoring().overheadBudget,
-              shape ? "phase-heavy: self-reported overhead in budget"
-                    : "steady: self-reported overhead in budget");
+        harness.check(stat <= base * 1.02,
+                      shape ? "phase-heavy: stat-leg overhead <= 2%"
+                            : "steady: stat-leg overhead <= 2%");
+        harness.check(stats[shape][1].monitorOverheadFraction <=
+                          benchMonitoring().overheadBudget,
+                      shape ? "phase-heavy: self-reported overhead in budget"
+                            : "steady: self-reported overhead in budget");
     }
 
     // ---- Region-model sanity. ----
     const node::NodeStats &adaptive = stats[1][2];
-    check(adaptive.monitorRegions >= 1 &&
-              adaptive.monitorRegions <= benchMonitoring().maxRegions,
-          "region count within [1, maxRegions]");
-    check(adaptive.monitorSplits > 0 && adaptive.monitorMerges > 0,
-          "region split and merge both engaged");
-    check(adaptive.monitorAggregations > 0 &&
-              adaptive.monitorSamples > 0,
-          "sampler observed and aggregated accesses");
-    check(adaptive.schemeHits > 0 && adaptive.schemeFires > 0,
-          "schemes matched and fired");
+    harness.check(adaptive.monitorRegions >= 1 &&
+                      adaptive.monitorRegions <= benchMonitoring().maxRegions,
+                  "region count within [1, maxRegions]");
+    harness.check(adaptive.monitorSplits > 0 && adaptive.monitorMerges > 0,
+                  "region split and merge both engaged");
+    harness.check(adaptive.monitorAggregations > 0 &&
+                      adaptive.monitorSamples > 0,
+                  "sampler observed and aggregated accesses");
+    harness.check(adaptive.schemeHits > 0 && adaptive.schemeFires > 0,
+                  "schemes matched and fired");
 
     // ---- Budget self-enforcement: a near-zero budget must throttle
     // the duty window instead of blowing through. ----
@@ -292,22 +273,22 @@ runChecks(bool smoke, Recorder &recorder)
         node::NodeConfig starved = makeConfig(false, Leg::kStat, true);
         starved.monitoring.overheadBudget = 1.0e-4;
         const node::NodeStats s =
-            recorder.run(starved, "steady.starved");
-        check(s.monitorThrottles > 0,
-              "starved budget engages the duty throttle");
-        check(s.monitorOverheadFraction <= 0.005,
-              "starved budget keeps overhead near zero");
+            runLeg(harness, starved, "steady.starved");
+        harness.check(s.monitorThrottles > 0,
+                      "starved budget engages the duty throttle");
+        harness.check(s.monitorOverheadFraction <= 0.005,
+                      "starved budget keeps overhead near zero");
     }
 
     // ---- Adaptive vs static. ----
-    check(stats[0][2].execSeconds <= stats[0][0].execSeconds * 1.005,
-          "steady: adaptive no worse than static (<= +0.5%)");
-    check(stats[1][2].execSeconds < stats[1][0].execSeconds,
-          "phase-heavy: adaptive beats static baseline");
+    harness.check(stats[0][2].execSeconds <= stats[0][0].execSeconds * 1.005,
+                  "steady: adaptive no worse than static (<= +0.5%)");
+    harness.check(stats[1][2].execSeconds < stats[1][0].execSeconds,
+                  "phase-heavy: adaptive beats static baseline");
     // One channel, two demotion steps of guard band: the earn_margin
     // scheme must walk the whole band back to the qualified rate.
-    check(adaptive.marginPromotions == 2,
-          "earn_margin re-earned the full guard band");
+    harness.check(adaptive.marginPromotions == 2,
+                  "earn_margin re-earned the full guard band");
 
     // ---- Interrupt/resume bit-identity (digest trail). ----
     std::vector<std::uint8_t> image;
@@ -316,10 +297,10 @@ runChecks(bool smoke, Recorder &recorder)
         runDigestTrail(true, 0, nullptr, nullptr);
     const std::vector<std::uint64_t> resumed =
         runDigestTrail(true, 10, &image, &roundtrip_ok);
-    check(reference.size() > 12, "digest trail long enough to bite");
-    check(roundtrip_ok, "mid-run monitor save/restore round-trips");
-    check(reference == resumed,
-          "digest trail bit-identical across round trip");
+    harness.check(reference.size() > 12, "digest trail long enough to bite");
+    harness.check(roundtrip_ok, "mid-run monitor save/restore round-trips");
+    harness.check(reference == resumed,
+                  "digest trail bit-identical across round trip");
 
     // ---- Restore into fresh objects digests identically. ----
     {
@@ -332,7 +313,7 @@ runChecks(bool smoke, Recorder &recorder)
         const bool ok = fresh_sampler.restoreState(in) &&
                         fresh_engine.restoreState(in) && in.ok() &&
                         in.remaining() == 0;
-        check(ok, "fresh sampler+engine restore from image");
+        harness.check(ok, "fresh sampler+engine restore from image");
         const std::uint64_t fresh =
             fresh_sampler.digest() ^
             (fresh_engine.digest() * 0x9e3779b97f4a7c15ULL);
@@ -344,47 +325,11 @@ runChecks(bool smoke, Recorder &recorder)
         const std::vector<std::uint64_t> again =
             runDigestTrail(true, 10, &image2, &ok2);
         at_capture = again.at(10);
-        check(ok2 && image2 == image,
-              "capture is deterministic across runs");
-        check(fresh == at_capture,
-              "fresh restore digests identically to capture");
+        harness.check(ok2 && image2 == image,
+                      "capture is deterministic across runs");
+        harness.check(fresh == at_capture,
+                      "fresh restore digests identically to capture");
     }
-
-    return failures;
-}
-
-/** Export the registry and the perf-trajectory record. */
-void
-exportTelemetry(const std::string &dir, Recorder &recorder,
-                const telemetry::WallTimer &timer)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        util::fatal("fig19_monitor: cannot create '%s': %s",
-                    dir.c_str(), ec.message().c_str());
-
-    std::string error;
-    const std::string csv = dir + "/metrics.csv";
-    if (!telemetry::writeMetricsCsv(recorder.registry, csv, &error))
-        util::fatal("fig19_monitor: %s", error.c_str());
-    const std::string json = dir + "/metrics.json";
-    if (!telemetry::writeMetricsJson(recorder.registry, json, &error))
-        util::fatal("fig19_monitor: %s", error.c_str());
-
-    telemetry::BenchRecord record;
-    record.bench = "fig19_monitor";
-    record.gitSha = telemetry::currentGitSha();
-    record.wallSeconds = timer.seconds();
-    record.simSeconds = recorder.simSeconds;
-    record.simEvents = recorder.simEvents;
-    record.peakRssBytes = telemetry::currentPeakRssBytes();
-    record.threads = 1;
-    std::string bench_path;
-    if (!telemetry::writeBenchRecord(dir, record, &error, &bench_path))
-        util::fatal("fig19_monitor: %s", error.c_str());
-    std::printf("\ntelemetry: %s, %s, %s\n", csv.c_str(), json.c_str(),
-                bench_path.c_str());
 }
 
 } // namespace
@@ -392,38 +337,23 @@ exportTelemetry(const std::string &dir, Recorder &recorder,
 int
 main(int argc, char **argv)
 {
-    const telemetry::WallTimer timer;
+    bench::Harness harness("fig19_monitor");
     bool smoke = false;
-    std::string telemetry_dir;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--smoke") == 0)
-            smoke = true;
-        else if (std::strncmp(arg, "--telemetry-out=", 16) == 0)
-            telemetry_dir = arg + 16;
-        else if (std::strcmp(arg, "--dump-schemes") == 0) {
-            // The shipped default scheme text, verbatim; a ctest
-            // diffs this against the checked-in copy under
-            // schemas/schemes/ so the two can never drift apart.
-            std::fputs(monitor::defaultPhaseAdaptiveSchemes(), stdout);
-            return 0;
-        } else
-            util::fatal("fig19_monitor: unknown flag '%s'", arg);
+    bool dump_schemes = false;
+    harness.flag("--smoke", &smoke, "small deterministic run + the gates");
+    harness.flag("--dump-schemes", &dump_schemes,
+                 "print the shipped default scheme text and exit");
+    harness.parse(argc, argv);
+    if (dump_schemes) {
+        // The shipped default scheme text, verbatim; a ctest diffs
+        // this against the checked-in copy under schemas/schemes/ so
+        // the two can never drift apart.
+        std::fputs(monitor::defaultPhaseAdaptiveSchemes(), stdout);
+        return 0;
     }
 
     std::printf("Fig. 19: bounded-overhead monitoring%s\n\n",
                 smoke ? " (smoke)" : "");
-    Recorder recorder;
-    const int failures = runChecks(smoke, recorder);
-
-    if (!telemetry_dir.empty())
-        exportTelemetry(telemetry_dir, recorder, timer);
-
-    if (failures > 0) {
-        std::fprintf(stderr, "fig19_monitor: %d check(s) FAILED\n",
-                     failures);
-        return 1;
-    }
-    std::printf("\nfig19_monitor: all checks passed\n");
-    return 0;
+    runChecks(smoke, harness);
+    return harness.finish();
 }

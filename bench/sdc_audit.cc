@@ -12,7 +12,7 @@
  * bound and projects the fleet's MTT-SDC against the epoch guard's
  * one-billion-year target (Section III-B).
  *
- * Flags (unknown flags and malformed values are fatal):
+ * Flags (bench::Harness syntax; see --help):
  *   --smoke                  short deterministic campaign plus the
  *                            self-checks ctest runs (sdc_audit_smoke):
  *                            zero unclassified accesses, escape rate
@@ -24,11 +24,11 @@
  *   --hours=<n>              modeled hours per module (default 72)
  *   --accesses-per-hour=<x>  modeled accesses per module-hour
  *                            (default 2e9)
- *   --overshoot=<steps>      rate steps past each module's stable
+ *   --overshoot=<n>          rate steps past each module's stable
  *                            rate (default 2)
  *   --wide-oversample=<x>    minimum proposal share of wide errors
  *                            (default 0.25)
- *   --snapshot=<file>        write a resumable snapshot on completion
+ *   --snapshot-path=<file>   write a resumable snapshot on completion
  *                            (and on SIGINT/SIGTERM; default
  *                            sdc_audit.snap when interrupted)
  *   --resume-from=<file>     resume an interrupted audit; if the
@@ -36,32 +36,23 @@
  *                            older last-good generations (<file>.1,
  *                            <file>.2) are tried before giving up
  *   --telemetry-out=<dir>    export the audit's classification counts
- *                            as metrics (CSV + JSON) plus a
- *                            BENCH_sdc_audit.json perf record
+ *                            as metrics plus a BENCH_sdc_audit.json
+ *                            perf record
  *
- * SIGINT/SIGTERM write a final snapshot and exit 130.  The handler is
- * strictly async-signal-safe: it sets one volatile sig_atomic_t flag
- * and nothing else; the snapshot itself is written from the main loop,
- * which polls the flag at each module-hour (epoch) boundary.  A second
- * SIGINT/SIGTERM skips the snapshot and exits 131 immediately.
+ * The first SIGINT/SIGTERM is acted on at the next module-hour
+ * (epoch) boundary: the audit writes a final snapshot and exits 130.
+ * A second one skips the snapshot and exits 131 immediately.
  */
 
 #include <cinttypes>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <string>
-#include <unistd.h>
 
 #include "ecc/bamboo.hh"
+#include "harness.hh"
 #include "snapshot/keeper.hh"
 #include "snapshot/serializer.hh"
-#include "telemetry/bench_record.hh"
-#include "telemetry/sinks.hh"
-#include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 #include "verify/audit.hh"
 
@@ -74,64 +65,6 @@ using verify::OracleCounters;
 using verify::SdcAudit;
 using verify::SdcAuditConfig;
 using verify::SdcAuditReport;
-
-/**
- * SIGINT/SIGTERM request flag.  The handler must stay strictly
- * async-signal-safe: set this flag, do nothing else (no I/O, no
- * allocation, no snapshot work).  The campaign loop polls it at each
- * module-hour boundary and runs the final-snapshot path in normal
- * context.
- *
- * A *second* SIGINT/SIGTERM is the escape hatch for a stuck graceful
- * path (e.g. the final-snapshot fsync hanging on a dead disk): the
- * handler _exit()s immediately with the distinct code 131, skipping
- * the snapshot (_exit() is async-signal-safe).
- */
-volatile std::sig_atomic_t g_interrupted = 0;
-
-/** Exit code of the second-signal immediate exit (130 = graceful). */
-constexpr int kForcedExitCode = 131;
-
-extern "C" void
-handleStopSignal(int)
-{
-    if (g_interrupted != 0)
-        _exit(kForcedExitCode);
-    g_interrupted = 1;
-}
-
-/** Strict numeric flag parsing: the whole value must consume. */
-double
-parseDouble(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(value))
-        util::fatal("sdc_audit: flag %s: malformed number '%s'", flag,
-                    text);
-    return value;
-}
-
-std::uint64_t
-parseU64(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0')
-        util::fatal("sdc_audit: flag %s: malformed integer '%s'", flag,
-                    text);
-    return value;
-}
-
-/** Match --name=value; returns the value part or nullptr. */
-const char *
-flagValue(const char *arg, const char *name)
-{
-    const std::size_t len = std::strlen(name);
-    if (std::strncmp(arg, name, len) == 0 && arg[len] == '=')
-        return arg + len + 1;
-    return nullptr;
-}
 
 void
 printReport(const SdcAuditConfig &config, const SdcAuditReport &report)
@@ -190,44 +123,16 @@ printReport(const SdcAuditConfig &config, const SdcAuditReport &report)
 }
 
 /**
- * Export the audit's fleet-wide counters under "verify.*" plus the
- * perf-trajectory record.  Fatal on I/O failure: an explicitly
- * requested export that silently vanished would poison the trajectory.
+ * Publish the audit's fleet-wide counters under "verify.*" and its
+ * modeled work for the telemetry export.
  */
 void
-exportTelemetry(const std::string &dir, const SdcAudit &audit,
-                const telemetry::WallTimer &timer)
+publish(bench::Harness &harness, const SdcAudit &audit)
 {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        util::fatal("sdc_audit: cannot create '%s': %s", dir.c_str(),
-                    ec.message().c_str());
-
-    telemetry::Registry registry;
-    audit.publishTelemetry(registry, "verify");
-    std::string error;
-    const std::string csv = dir + "/metrics.csv";
-    if (!telemetry::writeMetricsCsv(registry, csv, &error))
-        util::fatal("sdc_audit: %s", error.c_str());
-    const std::string json = dir + "/metrics.json";
-    if (!telemetry::writeMetricsJson(registry, json, &error))
-        util::fatal("sdc_audit: %s", error.c_str());
-
+    audit.publishTelemetry(harness.registry(), "verify");
     const SdcAuditReport report = audit.report();
-    telemetry::BenchRecord record;
-    record.bench = "sdc_audit";
-    record.gitSha = telemetry::currentGitSha();
-    record.wallSeconds = timer.seconds();
-    record.simSeconds = report.modeledHours * 3600.0;
-    record.simEvents = report.total.rawTotal();
-    record.peakRssBytes = telemetry::currentPeakRssBytes();
-    record.threads = 1;
-    std::string bench_path;
-    if (!telemetry::writeBenchRecord(dir, record, &error, &bench_path))
-        util::fatal("sdc_audit: %s", error.c_str());
-    std::printf("telemetry: %s, %s, %s\n", csv.c_str(), json.c_str(),
-                bench_path.c_str());
+    harness.addSimulated(report.modeledHours * 3600.0,
+                         report.total.rawTotal());
 }
 
 /** Serialize an audit's full mutable state to bytes. */
@@ -239,21 +144,10 @@ stateBytes(const SdcAudit &audit)
     return out.data();
 }
 
-/**
- * The checks ctest's sdc_audit_smoke gates on.  Returns the number of
- * failed checks (0 = pass) and prints a verdict per check.
- */
-int
-runSmokeChecks(const SdcAuditConfig &config,
-               const std::string &telemetry_dir,
-               const telemetry::WallTimer &timer)
+/** The checks ctest's sdc_audit_smoke gates on. */
+void
+runSmokeChecks(const SdcAuditConfig &config, bench::Harness &harness)
 {
-    int failures = 0;
-    const auto check = [&failures](bool ok, const char *what) {
-        std::printf("smoke: %-44s %s\n", what, ok ? "PASS" : "FAIL");
-        failures += ok ? 0 : 1;
-    };
-
     // One uninterrupted reference run with the pristine oracle.
     SdcAudit reference(config);
     reference.run();
@@ -261,19 +155,21 @@ runSmokeChecks(const SdcAuditConfig &config,
 
     const double modeled =
         config.accessesPerHour * reference.totalSteps();
-    check(report.total.unclassified == 0, "zero unclassified accesses");
-    check(report.total.rawTotal() ==
-              static_cast<std::uint64_t>(modeled),
-          "every modeled access accounted for");
-    check(report.total.wideDraws > 0 && report.total.nullSpaceDraws > 0,
-          "wide-error tail actually sampled");
-    check(report.escapeConsistentWith(
-              ecc::BambooCodec::escapeProbability8BPlus(), 2.0),
-          "escape rate consistent with 2^-64 bound");
+    harness.check(report.total.unclassified == 0,
+                  "zero unclassified accesses");
+    harness.check(report.total.rawTotal() ==
+                      static_cast<std::uint64_t>(modeled),
+                  "every modeled access accounted for");
+    harness.check(report.total.wideDraws > 0 &&
+                      report.total.nullSpaceDraws > 0,
+                  "wide-error tail actually sampled");
+    harness.check(report.escapeConsistentWith(
+                      ecc::BambooCodec::escapeProbability8BPlus(), 2.0),
+                  "escape rate consistent with 2^-64 bound");
     const double mtt = report.projectedMttSdcYears(
         config.accessesPerHour * config.modules);
-    check(std::isinf(mtt) || mtt >= 1.0e9,
-          "projected MTT-SDC meets 1e9-year target");
+    harness.check(std::isinf(mtt) || mtt >= 1.0e9,
+                  "projected MTT-SDC meets 1e9-year target");
 
     // A smaller campaign with a flaky original copy, so the recovery
     // ladder's retry rungs and the UE terminal state carry traffic.
@@ -285,11 +181,11 @@ runSmokeChecks(const SdcAuditConfig &config,
     SdcAudit ladder(flaky);
     ladder.run();
     const SdcAuditReport ladder_report = ladder.report();
-    check(ladder_report.total.unclassified == 0 &&
-              ladder_report.total.retriedRecoveries > 0 &&
-              ladder_report.total.raw[static_cast<unsigned>(
-                  AccessClass::kDetectedUe)] > 0,
-          "retry ladder and UE terminal state exercised");
+    harness.check(ladder_report.total.unclassified == 0 &&
+                      ladder_report.total.retriedRecoveries > 0 &&
+                      ladder_report.total.raw[static_cast<unsigned>(
+                          AccessClass::kDetectedUe)] > 0,
+                  "retry ladder and UE terminal state exercised");
 
     // Interrupt a second run at the midpoint, resume a third from the
     // snapshot, and require bit-identical completion.
@@ -300,19 +196,17 @@ runSmokeChecks(const SdcAuditConfig &config,
 
     SdcAudit resumed(config);
     snapshot::Deserializer in(mid);
-    check(resumed.restoreState(in) && in.ok() && in.remaining() == 0,
-          "mid-run snapshot restores");
+    harness.check(resumed.restoreState(in) && in.ok() && in.remaining() == 0,
+                  "mid-run snapshot restores");
     interrupted.run();
     resumed.run();
-    check(stateBytes(resumed) == stateBytes(interrupted),
-          "resumed run completes bit-identically");
-    check(stateBytes(interrupted) == stateBytes(reference),
-          "interrupted+resumed matches uninterrupted");
+    harness.check(stateBytes(resumed) == stateBytes(interrupted),
+                  "resumed run completes bit-identically");
+    harness.check(stateBytes(interrupted) == stateBytes(reference),
+                  "interrupted+resumed matches uninterrupted");
 
     printReport(config, report);
-    if (!telemetry_dir.empty())
-        exportTelemetry(telemetry_dir, reference, timer);
-    return failures;
+    publish(harness, reference);
 }
 
 } // namespace
@@ -327,40 +221,27 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string snapshot_path;
     std::string resume_from;
-    std::string telemetry_dir;
-    const telemetry::WallTimer timer;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--smoke") == 0)
-            smoke = true;
-        else if ((value = flagValue(arg, "--seed")))
-            config.seed = parseU64("--seed", value);
-        else if ((value = flagValue(arg, "--modules")))
-            config.modules =
-                static_cast<unsigned>(parseU64("--modules", value));
-        else if ((value = flagValue(arg, "--hours")))
-            config.hours =
-                static_cast<unsigned>(parseU64("--hours", value));
-        else if ((value = flagValue(arg, "--accesses-per-hour")))
-            config.accessesPerHour =
-                parseDouble("--accesses-per-hour", value);
-        else if ((value = flagValue(arg, "--overshoot")))
-            config.overshootSteps =
-                static_cast<unsigned>(parseU64("--overshoot", value));
-        else if ((value = flagValue(arg, "--wide-oversample")))
-            config.wideOversample =
-                parseDouble("--wide-oversample", value);
-        else if ((value = flagValue(arg, "--snapshot")))
-            snapshot_path = value;
-        else if ((value = flagValue(arg, "--resume-from")))
-            resume_from = value;
-        else if ((value = flagValue(arg, "--telemetry-out")))
-            telemetry_dir = value;
-        else
-            util::fatal("sdc_audit: unknown flag '%s'", arg);
-    }
+    bench::Harness harness("sdc_audit");
+    harness.flag("--smoke", &smoke,
+                 "short deterministic campaign plus the self-checks");
+    harness.flag("--seed", &config.seed, "campaign seed (default 0x5dc0417)");
+    harness.flag("--modules", &config.modules, "fleet size (default 8)");
+    harness.flag("--hours", &config.hours,
+                 "modeled hours per module (default 72)");
+    harness.flag("--accesses-per-hour", &config.accessesPerHour, "<x>",
+                 "modeled accesses per module-hour (default 2e9)");
+    harness.flag("--overshoot", &config.overshootSteps,
+                 "rate steps past each module's stable rate (default 2)");
+    harness.flag("--wide-oversample", &config.wideOversample, "<x>",
+                 "minimum proposal share of wide errors (default 0.25)");
+    harness.flag("--snapshot-path", &snapshot_path, "<file>",
+                 "snapshot written on completion and on SIGINT/SIGTERM "
+                 "(default sdc_audit.snap when interrupted)");
+    harness.flag("--resume-from", &resume_from, "<file>",
+                 "resume an interrupted audit (falls back to older "
+                 "generations)");
+    harness.parse(argc, argv);
 
     if (smoke) {
         // Small but wide-heavy: enough erroneous accesses to exercise
@@ -375,14 +256,8 @@ main(int argc, char **argv)
                     "accesses/h\n",
                     config.modules, config.hours,
                     config.accessesPerHour);
-        const int failures = runSmokeChecks(config, telemetry_dir, timer);
-        if (failures > 0) {
-            std::fprintf(stderr, "sdc_audit: %d smoke check(s) FAILED\n",
-                         failures);
-            return 1;
-        }
-        std::printf("\nsdc_audit: all smoke checks passed\n");
-        return 0;
+        runSmokeChecks(config, harness);
+        return harness.finish();
     }
 
     util::checkOk(config.validate());
@@ -393,79 +268,44 @@ main(int argc, char **argv)
 
     SdcAudit audit(config);
     if (!resume_from.empty()) {
-        // Walk the last-good generations newest-first; a corrupt or
-        // truncated generation is logged and skipped, a well-formed
-        // snapshot from a different campaign is fatal (older
-        // generations of the same campaign would mismatch the same
-        // way).
-        const snapshot::Keeper keeper(resume_from);
-        bool resumed = false;
-        util::Status last = util::notFound(
-            "no snapshot generation exists under '%s'",
-            resume_from.c_str());
-        for (unsigned g = 0; g < keeper.keep(); ++g) {
-            const std::string path = keeper.generationPath(g);
-            const util::Status status = audit.resumeFromFile(path);
-            if (status.ok()) {
-                if (g > 0)
-                    std::fprintf(stderr,
-                                 "sdc_audit: recovered: generation %u "
-                                 "(%s) is the newest valid snapshot\n",
-                                 g, path.c_str());
-                std::printf("resuming from %s: %" PRIu64 "/%" PRIu64
-                            " module-hours done\n",
-                            path.c_str(), audit.stepsDone(),
-                            audit.totalSteps());
-                resumed = true;
-                break;
-            }
-            if (status.code() ==
-                util::StatusCode::kFailedPrecondition)
-                util::fatal("sdc_audit: cannot resume from '%s': %s",
-                            path.c_str(), status.message().c_str());
-            if (status.code() != util::StatusCode::kNotFound) {
-                std::fprintf(stderr,
-                             "sdc_audit: warning: snapshot generation "
-                             "%u unusable [%s]: %s; trying an older "
-                             "generation\n",
-                             g, util::statusCodeName(status.code()),
-                             status.message().c_str());
-                last = status;
-            } else if (g == 0) {
-                last = status;
-            }
-        }
-        if (!resumed)
-            util::fatal("sdc_audit: cannot resume from '%s': %s (no "
-                        "older generation was valid either)",
-                        resume_from.c_str(), last.message().c_str());
+        const std::string path = harness.resumeLatest(
+            resume_from, snapshot::Keeper::kDefaultKeep,
+            [&audit](const std::string &file) {
+                return audit.resumeFromFile(file);
+            });
+        std::printf("resuming from %s: %" PRIu64 "/%" PRIu64
+                    " module-hours done\n",
+                    path.c_str(), audit.stepsDone(), audit.totalSteps());
     }
-    std::signal(SIGINT, handleStopSignal);
-    std::signal(SIGTERM, handleStopSignal);
+    bench::catchStopSignals();
+
+    const std::string final_path =
+        snapshot_path.empty() ? "sdc_audit.snap" : snapshot_path;
+    const auto save = [&audit](const std::string &path) {
+        snapshot::Serializer out;
+        audit.saveState(out);
+        const util::Status status = snapshot::Keeper(path).save(
+            snapshot::kSdcAuditStateKind, out.data());
+        if (!status.ok())
+            util::fatal("sdc_audit: snapshot to '%s' failed: %s",
+                        path.c_str(), status.message().c_str());
+    };
 
     const std::uint64_t total = audit.totalSteps();
     const std::uint64_t stride = total < 10 ? 1 : total / 10;
     while (audit.step()) {
-        // Epoch boundary: the only place the interrupt flag is acted
+        // Epoch boundary: the only place the stop request is acted
         // on, so the snapshot always captures a whole module-hour.
-        if (g_interrupted != 0) {
-            const std::string path = snapshot_path.empty()
-                                         ? "sdc_audit.snap"
-                                         : snapshot_path;
-            snapshot::Serializer out;
-            audit.saveState(out);
-            const util::Status status = snapshot::Keeper(path).save(
-                snapshot::kSdcAuditStateKind, out.data());
-            if (!status.ok())
-                util::fatal("sdc_audit: interrupt snapshot failed: %s",
-                            status.message().c_str());
+        if (bench::stopRequested()) {
+            save(final_path);
             std::fprintf(stderr,
                          "\nsdc_audit: interrupted at %" PRIu64 "/%"
                          PRIu64 " module-hours; state saved to %s\n"
                          "resume with: --resume-from=%s\n",
-                         audit.stepsDone(), total, path.c_str(),
-                         path.c_str());
-            return 130;
+                         audit.stepsDone(), total, final_path.c_str(),
+                         final_path.c_str());
+            publish(harness, audit);
+            return harness.finish(/*interrupted=*/true);
         }
         if (audit.stepsDone() % stride == 0) {
             std::printf("  ... %" PRIu64 "/%" PRIu64
@@ -482,17 +322,9 @@ main(int argc, char **argv)
     printReport(config, report);
 
     if (!snapshot_path.empty()) {
-        snapshot::Serializer out;
-        audit.saveState(out);
-        const util::Status status = snapshot::Keeper(snapshot_path)
-                                        .save(snapshot::kSdcAuditStateKind,
-                                              out.data());
-        if (!status.ok())
-            util::fatal("sdc_audit: snapshot failed: %s",
-                        status.message().c_str());
+        save(snapshot_path);
         std::printf("snapshot written to %s\n", snapshot_path.c_str());
     }
-    if (!telemetry_dir.empty())
-        exportTelemetry(telemetry_dir, audit, timer);
-    return 0;
+    publish(harness, audit);
+    return harness.finish();
 }

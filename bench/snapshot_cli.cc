@@ -1,206 +1,65 @@
 #include "snapshot_cli.hh"
 
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <unistd.h>
+#include <utility>
 #include <variant>
 
 #include "snapshot/keeper.hh"
 #include "snapshot/serializer.hh"
-#include "telemetry/sinks.hh"
 #include "util/logging.hh"
 
 namespace hdmr::bench
 {
 
-namespace
+SweepRunner::SweepRunner(Harness &harness)
+    : harness_(harness), snapshotPath_(harness.name() + ".snap")
 {
-
-/**
- * SIGINT/SIGTERM request flag.  The handler must stay strictly
- * async-signal-safe: it sets this one volatile sig_atomic_t and does
- * nothing else - no I/O, no allocation, and in particular no snapshot
- * work, which walks heap structures the interrupted code may have been
- * mutating.  The run loop polls the flag at its scheduler decision
- * points (the epoch boundaries of a sweep leg) via
- * RunOptions::interrupted and performs the final-snapshot path in
- * normal context.
- *
- * Escape hatch: a *second* SIGINT/SIGTERM means the graceful path is
- * stuck (most likely the final-snapshot write hanging on a dead disk)
- * and the user wants out *now*.  The handler _exit()s immediately with
- * the distinct code 131, skipping the snapshot - _exit() is
- * async-signal-safe and flushes nothing, which is exactly right when
- * the process state is suspect.
- */
-volatile std::sig_atomic_t g_interrupted = 0;
-
-/** Exit code of the second-signal immediate exit (130 = graceful). */
-constexpr int kForcedExitCode = 131;
-
-extern "C" void
-handleStopSignal(int)
-{
-    if (g_interrupted != 0)
-        _exit(kForcedExitCode);
-    g_interrupted = 1;
-}
-
-double
-parseSeconds(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        util::fatal("%s expects a number of simulated seconds "
-                    "(got '%s')",
-                    flag, text);
-    return value;
+    harness.flag("--snapshot-every", &snapshotEvery_, "<sim s>",
+                 "periodic crash-safe snapshots (0 = off)");
+    harness.flag("--snapshot-path", &snapshotPath_, "<file>",
+                 "snapshot file (default <name>.snap)");
+    harness.flag("--snapshot-keep", &snapshotKeep_,
+                 "last-good generations to keep (default 3)", 1, 64);
+    harness.flag("--resume-from", &resumeFrom_, "<file>",
+                 "resume an interrupted sweep (falls back to older "
+                 "generations)");
+    harness.flag("--digest-every", &digestEvery_, "<sim s>",
+                 "state-digest cadence (default 86400)");
 }
 
 void
-printUsage(const char *bench)
+SweepRunner::start()
 {
-    std::printf(
-        "usage: %s [options]\n"
-        "  --snapshot-every=<sim seconds>  periodic crash-safe "
-        "snapshots (0 = off)\n"
-        "  --snapshot-path=<file>          snapshot file "
-        "(default %s.snap)\n"
-        "  --snapshot-keep=<n>             last-good generations to "
-        "keep (default 3)\n"
-        "  --resume-from=<file>            resume an interrupted "
-        "sweep (falls back to\n"
-        "                                  older generations if the "
-        "newest is corrupt)\n"
-        "  --digest-every=<sim seconds>    state-digest cadence "
-        "(default 86400)\n"
-        "  --telemetry-out=<dir>           export metrics CSV/JSON, a "
-        "Perfetto trace,\n"
-        "                                  and a BENCH_<name>.json "
-        "perf record\n"
-        "  --help                          this text\n"
-        "\nSIGINT/SIGTERM save a final snapshot before exiting "
-        "(code 130);\na second signal skips the snapshot and exits "
-        "immediately (code 131).\n",
-        bench, bench);
-}
-
-} // namespace
-
-SweepRunner::SweepRunner(std::string bench_name, int argc, char **argv)
-    : bench_(std::move(bench_name)), snapshotPath_(bench_ + ".snap")
-{
-    parseArgs(argc, argv);
+    if (snapshotEvery_ < 0.0)
+        util::fatal("%s: --snapshot-every must be non-negative (got %g)",
+                    harness_.name().c_str(), snapshotEvery_);
+    if (!(digestEvery_ > 0.0))
+        util::fatal("%s: --digest-every must be positive (got %g)",
+                    harness_.name().c_str(), digestEvery_);
     if (!resumeFrom_.empty())
         loadResumeFile();
-    std::signal(SIGINT, handleStopSignal);
-    std::signal(SIGTERM, handleStopSignal);
-}
-
-void
-SweepRunner::parseArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--snapshot-every=", 17) == 0) {
-            snapshotEvery_ = parseSeconds("--snapshot-every", arg + 17);
-            if (snapshotEvery_ < 0.0)
-                util::fatal("--snapshot-every must be non-negative "
-                            "(got %g)",
-                            snapshotEvery_);
-        } else if (std::strncmp(arg, "--snapshot-path=", 16) == 0) {
-            snapshotPath_ = arg + 16;
-            if (snapshotPath_.empty())
-                util::fatal("--snapshot-path expects a file name");
-        } else if (std::strncmp(arg, "--snapshot-keep=", 16) == 0) {
-            char *end = nullptr;
-            const unsigned long keep = std::strtoul(arg + 16, &end, 10);
-            if (end == arg + 16 || *end != '\0' || keep < 1 ||
-                keep > 64)
-                util::fatal("--snapshot-keep expects an integer in "
-                            "[1, 64] (got '%s')",
-                            arg + 16);
-            snapshotKeep_ = static_cast<unsigned>(keep);
-        } else if (std::strncmp(arg, "--resume-from=", 14) == 0) {
-            resumeFrom_ = arg + 14;
-            if (resumeFrom_.empty())
-                util::fatal("--resume-from expects a file name");
-        } else if (std::strncmp(arg, "--digest-every=", 15) == 0) {
-            digestEvery_ = parseSeconds("--digest-every", arg + 15);
-            if (!(digestEvery_ > 0.0))
-                util::fatal("--digest-every must be positive (got %g)",
-                            digestEvery_);
-        } else if (std::strncmp(arg, "--telemetry-out=", 16) == 0) {
-            telemetryDir_ = arg + 16;
-            if (telemetryDir_.empty())
-                util::fatal("--telemetry-out expects a directory name");
-        } else if (std::strcmp(arg, "--help") == 0) {
-            printUsage(bench_.c_str());
-            std::exit(0);
-        } else {
-            util::fatal("unknown argument '%s' (try --help)", arg);
-        }
-    }
+    catchStopSignals();
 }
 
 void
 SweepRunner::loadResumeFile()
 {
-    // Walk the last-good generations newest-first.  A generation that
-    // fails the file envelope (magic/version/CRC) *or* the sweep-level
-    // decode is logged with its structured code and skipped; the first
-    // one that decodes end to end wins.  Only a well-formed image that
-    // belongs to a different campaign aborts - its older siblings
-    // would mismatch the same way.
-    const snapshot::Keeper keeper(resumeFrom_, snapshotKeep_);
-    util::Status last = util::notFound(
-        "no snapshot generation exists under '%s'", resumeFrom_.c_str());
-    for (unsigned g = 0; g < keeper.keep(); ++g) {
-        const std::string path = keeper.generationPath(g);
-        std::vector<std::uint8_t> payload;
-        util::Status status = snapshot::readSnapshotFile(
-            path, snapshot::kSweepStateKind, &payload);
-        if (status.ok())
-            status = decodeSweepPayload(payload);
-        if (status.ok()) {
-            resumeActive_ = !resumeActiveLabel_.empty();
-            if (g > 0)
-                std::fprintf(stderr,
-                             "recovered: generation %u (%s) is the "
-                             "newest valid snapshot\n",
-                             g, path.c_str());
-            std::printf("resuming sweep from %s: %zu completed "
-                        "leg(s), active leg '%s'%s\n\n",
-                        path.c_str(), completed_.size(),
-                        resumeActive_ ? resumeActiveLabel_.c_str()
-                                      : "(none)",
-                        resumeActiveState_.empty()
-                            ? " (not yet started)"
-                            : "");
-            return;
-        }
-        if (status.code() == util::StatusCode::kFailedPrecondition)
-            util::fatal("cannot resume from '%s': %s", path.c_str(),
-                        status.message().c_str());
-        if (status.code() != util::StatusCode::kNotFound) {
-            std::fprintf(stderr,
-                         "warning: snapshot generation %u unusable "
-                         "[%s]: %s; trying an older generation\n",
-                         g, util::statusCodeName(status.code()),
-                         status.message().c_str());
-            last = status;
-        } else if (g == 0) {
-            last = status;
-        }
-    }
-    util::fatal("cannot resume from '%s': %s (no older generation "
-                "was valid either)",
-                resumeFrom_.c_str(), last.message().c_str());
+    // A generation must pass both the file envelope (magic/version/
+    // CRC) and the sweep-level decode to count as loaded.
+    const std::string path = harness_.resumeLatest(
+        resumeFrom_, snapshotKeep_, [this](const std::string &file) {
+            std::vector<std::uint8_t> payload;
+            HDMR_RETURN_IF_ERROR(snapshot::readSnapshotFile(
+                file, snapshot::kSweepStateKind, &payload));
+            return decodeSweepPayload(payload);
+        });
+    resumeActive_ = !resumeActiveLabel_.empty();
+    std::printf("resuming sweep from %s: %zu completed leg(s), active "
+                "leg '%s'%s\n\n",
+                path.c_str(), completed_.size(),
+                resumeActive_ ? resumeActiveLabel_.c_str() : "(none)",
+                resumeActiveState_.empty() ? " (not yet started)" : "");
 }
 
 util::Status
@@ -211,14 +70,14 @@ SweepRunner::decodeSweepPayload(const std::vector<std::uint8_t> &payload)
     completed_.clear();
     resumeActiveLabel_.clear();
     resumeActiveState_.clear();
-    registry_ = telemetry::Registry{};
+    harness_.registry() = telemetry::Registry{};
 
     snapshot::Deserializer in(payload);
     const std::string bench = in.readString();
-    if (in.ok() && bench != bench_)
+    if (in.ok() && bench != harness_.name())
         return util::failedPrecondition(
             "snapshot belongs to benchmark '%s', not '%s'",
-            bench.c_str(), bench_.c_str());
+            bench.c_str(), harness_.name().c_str());
     // Each completed leg is at least a label length (4) plus the
     // metrics record; 8 is a safe floor for the count check.
     const std::uint64_t count = in.readCount("completed-leg list", 8);
@@ -237,13 +96,13 @@ SweepRunner::decodeSweepPayload(const std::vector<std::uint8_t> &payload)
     // state digests.
     const bool saved_telemetry = in.readBool();
     HDMR_RETURN_IF_ERROR(in.status());
-    if (saved_telemetry != telemetryEnabled())
+    if (saved_telemetry != harness_.telemetryEnabled())
         return util::failedPrecondition(
             "the sweep was %s --telemetry-out and this run is %s; "
             "rerun with a matching flag",
             saved_telemetry ? "saved with" : "saved without",
-            telemetryEnabled() ? "using it" : "not");
-    if (saved_telemetry && !registry_.restore(in))
+            harness_.telemetryEnabled() ? "using it" : "not");
+    if (saved_telemetry && !harness_.registry().restore(in))
         return in.ok() ? util::dataLoss(
                              "telemetry registry restore failed")
                        : in.status();
@@ -257,7 +116,7 @@ void
 SweepRunner::writeSweepFile() const
 {
     snapshot::Serializer out;
-    out.writeString(bench_);
+    out.writeString(harness_.name());
     out.writeU64(completed_.size());
     for (const CompletedLeg &leg : completed_) {
         out.writeString(leg.label);
@@ -265,9 +124,9 @@ SweepRunner::writeSweepFile() const
     }
     out.writeString(activeLabel_);
     out.writeBlob(activeState_);
-    out.writeBool(telemetryEnabled());
-    if (telemetryEnabled())
-        registry_.save(out);
+    out.writeBool(harness_.telemetryEnabled());
+    if (harness_.telemetryEnabled())
+        harness_.registry().save(out);
 
     const snapshot::Keeper keeper(snapshotPath_, snapshotKeep_);
     const util::Status status =
@@ -301,14 +160,14 @@ SweepRunner::leg(const std::string &label,
                         "benchmark asked for '%s'",
                         cached.label.c_str(), label.c_str());
         ++nextCached_;
-        if (telemetryEnabled())
+        if (harness_.telemetryEnabled())
             reconcileLeg(label, cached.metrics);
         return cached.metrics;
     }
 
     // Interrupt landed between legs: save a sweep image marking this
     // leg as active-but-unstarted and stop.
-    if (g_interrupted != 0) {
+    if (stopRequested()) {
         activeLabel_ = label;
         if (resumeActive_ && label == resumeActiveLabel_)
             activeState_ = resumeActiveState_;
@@ -323,11 +182,12 @@ SweepRunner::leg(const std::string &label,
     activeLabel_ = label;
     activeState_.clear();
 
-    if (telemetryEnabled()) {
-        sim.bindTelemetry(registry_, "cluster." + label);
-        sim.bindTrace(&trace_, tid);
-        trace_.setThreadName(tid, label);
-        trace_.beginSpan(label, "leg", 0.0, tid);
+    telemetry::TraceRecorder &trace = harness_.trace();
+    if (harness_.telemetryEnabled()) {
+        sim.bindTelemetry(harness_.registry(), "cluster." + label);
+        sim.bindTrace(&trace, tid);
+        trace.setThreadName(tid, label);
+        trace.beginSpan(label, "leg", 0.0, tid);
     }
 
     sched::RunOptions options;
@@ -338,7 +198,7 @@ SweepRunner::leg(const std::string &label,
             activeState_ = state;
             writeSweepFile();
         };
-    options.interrupted = [] { return g_interrupted != 0; };
+    options.interrupted = stopRequested;
 
     sched::RunOutcome outcome;
     if (resumeActive_) {
@@ -363,17 +223,16 @@ SweepRunner::leg(const std::string &label,
         outcome = sim.run(jobs, options);
     }
 
-    if (telemetryEnabled())
-        trace_.endSpan(outcome.simSeconds * 1e6, tid, label);
-    simSecondsTotal_ += outcome.simSeconds;
-    simEventsTotal_ += outcome.eventsProcessed;
+    if (harness_.telemetryEnabled())
+        trace.endSpan(outcome.simSeconds * 1e6, tid, label);
+    harness_.addSimulated(outcome.simSeconds, outcome.eventsProcessed);
 
     if (!outcome.completed) {
         // The final snapshot already went through the sink.
         stopped_ = true;
         return outcome.metrics;
     }
-    if (telemetryEnabled())
+    if (harness_.telemetryEnabled())
         reconcileLeg(label, outcome.metrics);
     completed_.push_back(CompletedLeg{label, outcome.metrics});
     nextCached_ = completed_.size();
@@ -386,10 +245,23 @@ SweepRunner::reconcileLeg(const std::string &label,
                           const sched::ClusterMetrics &metrics) const
 {
     const std::string prefix = "cluster." + label;
-    const auto counter_value =
-        [&](const char *name) -> std::uint64_t {
+    const telemetry::Registry &registry = harness_.registry();
+    const std::pair<const char *, std::uint64_t> counters[] = {
+        {"jobs_completed", metrics.jobsCompleted},
+        {"ue_injected", metrics.ueInjected},
+        {"job_kills", metrics.jobKills},
+        {"requeues", metrics.requeues},
+        {"jobs_dropped", metrics.jobsDropped},
+        {"nodes_failed", metrics.nodesFailed},
+        {"nodes_demoted", metrics.nodesDemoted},
+        {"tolerant_ues", metrics.tolerantUes},
+        {"critical_ues", metrics.criticalUes},
+        {"jobs_degraded", metrics.jobsDegraded},
+        {"pages_degraded", metrics.pagesDegraded},
+    };
+    for (const auto &[name, expected] : counters) {
         const telemetry::Metric *metric =
-            registry_.find(prefix + "." + name);
+            registry.find(prefix + "." + name);
         const auto *counter =
             metric != nullptr ? std::get_if<telemetry::Counter>(metric)
                               : nullptr;
@@ -397,31 +269,16 @@ SweepRunner::reconcileLeg(const std::string &label,
             util::fatal("telemetry reconciliation: counter '%s.%s' "
                         "missing from the registry",
                         prefix.c_str(), name);
-        return counter->value();
-    };
-    const auto check = [&](const char *name, std::uint64_t expected) {
-        const std::uint64_t got = counter_value(name);
-        if (got != expected)
+        if (counter->value() != expected)
             util::fatal("telemetry reconciliation: %s.%s is %llu but "
                         "the leg's metrics say %llu",
                         prefix.c_str(), name,
-                        static_cast<unsigned long long>(got),
+                        static_cast<unsigned long long>(counter->value()),
                         static_cast<unsigned long long>(expected));
-    };
-    check("jobs_completed", metrics.jobsCompleted);
-    check("ue_injected", metrics.ueInjected);
-    check("job_kills", metrics.jobKills);
-    check("requeues", metrics.requeues);
-    check("jobs_dropped", metrics.jobsDropped);
-    check("nodes_failed", metrics.nodesFailed);
-    check("nodes_demoted", metrics.nodesDemoted);
-    check("tolerant_ues", metrics.tolerantUes);
-    check("critical_ues", metrics.criticalUes);
-    check("jobs_degraded", metrics.jobsDegraded);
-    check("pages_degraded", metrics.pagesDegraded);
+    }
 
     const telemetry::Metric *metric =
-        registry_.find(prefix + ".turnaround_seconds");
+        registry.find(prefix + ".turnaround_seconds");
     const auto *histogram =
         metric != nullptr
             ? std::get_if<telemetry::Log2Histogram>(metric)
@@ -450,62 +307,16 @@ SweepRunner::reconcileLeg(const std::string &label,
                     metrics.meanTurnaroundSeconds);
 }
 
-void
-SweepRunner::exportTelemetry()
-{
-    std::error_code ec;
-    std::filesystem::create_directories(telemetryDir_, ec);
-    if (ec) {
-        std::fprintf(stderr,
-                     "warning: cannot create telemetry directory "
-                     "'%s': %s\n",
-                     telemetryDir_.c_str(), ec.message().c_str());
-        return;
-    }
-
-    std::string error;
-    const std::string csv_path = telemetryDir_ + "/metrics.csv";
-    if (!telemetry::writeMetricsCsv(registry_, csv_path, &error))
-        std::fprintf(stderr, "warning: %s\n", error.c_str());
-    const std::string json_path = telemetryDir_ + "/metrics.json";
-    if (!telemetry::writeMetricsJson(registry_, json_path, &error))
-        std::fprintf(stderr, "warning: %s\n", error.c_str());
-    const std::string trace_path = telemetryDir_ + "/trace.json";
-    if (!trace_.writeChromeTrace(trace_path, &error))
-        std::fprintf(stderr, "warning: %s\n", error.c_str());
-
-    telemetry::BenchRecord record;
-    record.bench = bench_;
-    record.gitSha = telemetry::currentGitSha();
-    record.wallSeconds = timer_.seconds();
-    record.simSeconds = simSecondsTotal_;
-    record.simEvents = simEventsTotal_;
-    record.peakRssBytes = telemetry::currentPeakRssBytes();
-    record.threads = 1;
-    std::string record_path;
-    if (!telemetry::writeBenchRecord(telemetryDir_, record, &error,
-                                     &record_path))
-        std::fprintf(stderr, "warning: %s\n", error.c_str());
-
-    std::printf("\ntelemetry: %s, %s\n           %s (load in "
-                "ui.perfetto.dev), %s\n",
-                csv_path.c_str(), json_path.c_str(),
-                trace_path.c_str(), record_path.c_str());
-}
-
 int
 SweepRunner::finish()
 {
-    if (telemetryEnabled())
-        exportTelemetry();
-    if (!stopped_)
-        return 0;
-    std::fprintf(stderr,
-                 "\n%s: interrupted during leg '%s'; sweep state "
-                 "saved to %s\nresume with: --resume-from=%s\n",
-                 bench_.c_str(), activeLabel_.c_str(),
-                 snapshotPath_.c_str(), snapshotPath_.c_str());
-    return 130;
+    if (stopped_)
+        std::fprintf(stderr,
+                     "\n%s: interrupted during leg '%s'; sweep state "
+                     "saved to %s\nresume with: --resume-from=%s\n",
+                     harness_.name().c_str(), activeLabel_.c_str(),
+                     snapshotPath_.c_str(), snapshotPath_.c_str());
+    return harness_.finish(stopped_);
 }
 
 } // namespace hdmr::bench

@@ -1,7 +1,7 @@
 /**
  * @file
- * Crash-safe snapshot/resume plumbing for the system-wide benchmark
- * drivers (fig17, fig18).
+ * Crash-safe snapshot/resume of the system-wide benchmark sweeps
+ * (fig17, fig18, fig18_drift, ablation_hetreliability).
  *
  * The benchmarks run a *sweep* of simulation legs (conventional,
  * Hetero-DMR, fault intensities, ...).  SweepRunner executes each leg
@@ -15,35 +15,29 @@
  * Snapshots are kept as rotating last-good generations
  * (snapshot::Keeper): `<path>` is the newest image, `<path>.1` the
  * previous one, and so on up to --snapshot-keep generations.  On
- * --resume-from, generations are tried newest-first: a corrupt,
- * truncated, or otherwise undecodable image is *logged* (with its
- * structured status code) and the next older generation is tried, so a
- * damaged newest snapshot costs one checkpoint interval, not the run.
- * Only a well-formed image that belongs to a different campaign (wrong
- * benchmark, mismatched --telemetry-out) is still fatal - older
- * generations of the same file would mismatch identically.
+ * --resume-from, Harness::resumeLatest() walks them newest-first, so
+ * a damaged newest snapshot costs one checkpoint interval, not the
+ * run.  Only a well-formed image that belongs to a different campaign
+ * (wrong benchmark, mismatched --telemetry-out) is fatal.
  *
- * Flags (parsed from argv; anything unrecognised is fatal):
- *   --snapshot-every=<sim seconds>  periodic snapshots (0 = off)
- *   --snapshot-path=<file>          snapshot file (default <bench>.snap)
- *   --snapshot-keep=<n>             last-good generations to keep
- *                                   (default 3)
- *   --resume-from=<file>            resume a previous sweep
- *   --digest-every=<sim seconds>    digest-trail cadence (default 86400)
- *   --telemetry-out=<dir>           export metrics (CSV + JSON), a
- *                                   Chrome/Perfetto trace, and a
- *                                   BENCH_<bench>.json perf record
+ * Flags it adds to the bench's Harness:
+ *   --snapshot-every=<sim s>  periodic snapshots (0 = off)
+ *   --snapshot-path=<file>    snapshot file (default <bench>.snap)
+ *   --snapshot-keep=<n>       last-good generations to keep (1-64,
+ *                             default 3)
+ *   --resume-from=<file>      resume a previous sweep
+ *   --digest-every=<sim s>    digest-trail cadence (default 86400)
  *
- * With --telemetry-out, every leg binds the shared metric registry
+ * With --telemetry-out, every leg binds the harness's metric registry
  * under "cluster.<label>" and a per-leg trace track; the registry is
  * persisted in the sweep image (and in the active leg's simulator
  * state), so metric values survive --resume-from bit-identically.
  * After each completed leg the registry is reconciled against the
  * leg's ClusterMetrics - any mismatch is fatal.
  *
- * SIGINT/SIGTERM set a flag the event loop polls at its next decision
- * point; the run writes a final snapshot and the process exits 130
- * with a message naming the file to resume from.
+ * A SIGINT/SIGTERM is polled at the event loop's next decision point;
+ * the run writes a final snapshot and the process exits 130 with a
+ * message naming the file to resume from.
  */
 
 #ifndef HDMR_BENCH_SNAPSHOT_CLI_HH
@@ -53,12 +47,11 @@
 #include <string>
 #include <vector>
 
+#include "harness.hh"
 #include "sched/cluster_sim.hh"
 #include "snapshot/keeper.hh"
-#include "telemetry/bench_record.hh"
-#include "util/status.hh"
-#include "telemetry/telemetry.hh"
 #include "traces/job_trace.hh"
+#include "util/status.hh"
 
 namespace hdmr::bench
 {
@@ -68,12 +61,17 @@ class SweepRunner
 {
   public:
     /**
-     * Parses the snapshot flags (fatal on unknown arguments or
-     * malformed values) and installs SIGINT/SIGTERM handlers.
-     * `bench_name` tags the snapshot file so a fig18 image cannot be
-     * resumed into fig17.
+     * Registers the sweep flags on `harness`, whose name tags the
+     * snapshot so a fig18 image cannot be resumed into fig17.  Call
+     * before Harness::parse().
      */
-    SweepRunner(std::string bench_name, int argc, char **argv);
+    explicit SweepRunner(Harness &harness);
+
+    /**
+     * After Harness::parse(): range-checks the sweep flags, loads
+     * --resume-from, and arms the stop signals.
+     */
+    void start();
 
     /**
      * Execute one sweep leg.  Legs are identified by `label` and must
@@ -89,17 +87,9 @@ class SweepRunner
     /** True once a leg was interrupted (results are incomplete). */
     bool stoppedEarly() const { return stopped_; }
 
-    /** True when --telemetry-out was given. */
-    bool telemetryEnabled() const { return !telemetryDir_.empty(); }
-
-    /** The shared metric registry (empty unless telemetry is on). */
-    telemetry::Registry &registry() { return registry_; }
-
     /**
-     * Final bookkeeping: exports the telemetry artifacts (when
-     * enabled); on an interrupted sweep, prints where the snapshot
-     * went and how to resume, and returns exit code 130; otherwise
-     * returns 0.
+     * Harness::finish(); on an interrupted sweep, also prints where
+     * the snapshot went and how to resume (exit code 130).
      */
     int finish();
 
@@ -110,7 +100,6 @@ class SweepRunner
         sched::ClusterMetrics metrics;
     };
 
-    void parseArgs(int argc, char **argv);
     void loadResumeFile();
     /**
      * Decode one verified sweep payload into the resume members.
@@ -124,22 +113,15 @@ class SweepRunner
     void writeSweepFile() const;
     void reconcileLeg(const std::string &label,
                       const sched::ClusterMetrics &metrics) const;
-    void exportTelemetry();
 
-    std::string bench_;
+    Harness &harness_;
     double snapshotEvery_ = 0.0;
     double digestEvery_ = 86400.0;
     unsigned snapshotKeep_ = snapshot::Keeper::kDefaultKeep;
     std::string snapshotPath_;
     std::string resumeFrom_;
-    std::string telemetryDir_;
 
-    telemetry::Registry registry_;
-    telemetry::TraceRecorder trace_;
-    telemetry::WallTimer timer_;
     std::uint32_t legIndex_ = 0;
-    double simSecondsTotal_ = 0.0;
-    std::uint64_t simEventsTotal_ = 0;
 
     std::vector<CompletedLeg> completed_;
     std::size_t nextCached_ = 0;

@@ -40,7 +40,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     sentinel.quota = 0xfeedfaceULL;
     out.schemes = {sentinel};
     out.writeTriggerBoost = 0.375;
-    out.drainCleanFraction = 0.625;
+    out.epochLengthenScale = 6.25;
 
     const util::Status status = parseSchemeConfig(text, &out);
     if (!status.ok()) {
@@ -49,7 +49,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
             out.schemes[0].name != "sentinel_untouched" ||
             out.schemes[0].quota != 0xfeedfaceULL ||
             out.writeTriggerBoost != 0.375 ||
-            out.drainCleanFraction != 0.625)
+            out.epochLengthenScale != 6.25)
             util::panic("rejected parse half-filled the output");
         return 0;
     }

@@ -152,17 +152,6 @@ ModeController::handleDirtyEviction(std::uint64_t address)
 }
 
 void
-ModeController::requestWriteDrain(double clean_scale)
-{
-    if (wbCache_.empty() && overflow_.empty())
-        return;
-    if (!(clean_scale >= 0.0))
-        clean_scale = 1.0;
-    drainCleanScale_ = std::min(1.0, clean_scale);
-    controller_.requestWriteMode();
-}
-
-void
 ModeController::setWriteTriggerBoost(double boost)
 {
     if (boost < 0.0)
@@ -240,15 +229,10 @@ ModeController::onWriteModeEnter()
         // The monitor's prefer-reads hold caps the discretionary
         // cleaning this window may do; with no hold asserted the
         // scale is 1 and the window earns the full configured budget.
-        // A pending monitor drain overrides the ambient scale for
-        // this one entry so its cleaning fits the idle window that
-        // prompted the drain.
-        const double scale =
-            drainCleanScale_ >= 0.0 ? drainCleanScale_ : cleanScale_;
         cleanBudget_ = static_cast<std::size_t>(
-            static_cast<double>(config_.cleanLinesPerWriteMode) * scale);
+            static_cast<double>(config_.cleanLinesPerWriteMode) *
+            cleanScale_);
     }
-    drainCleanScale_ = -1.0;
 }
 
 void
@@ -803,7 +787,6 @@ ModeController::saveState(snapshot::Serializer &out) const
     // the guard's own record above).
     out.writeDouble(triggerBoost_);
     out.writeDouble(cleanScale_);
-    out.writeDouble(drainCleanScale_);
 }
 
 bool
@@ -917,19 +900,10 @@ ModeController::restoreState(snapshot::Deserializer &in)
                 "cleaning-budget scale");
         return false;
     }
-    const double drain_scale = in.readDouble();
-    if (in.ok() &&
-        !(drain_scale == -1.0 ||
-          (drain_scale >= 0.0 && drain_scale <= 1.0))) {
-        in.fail("mode-controller snapshot carries an out-of-range "
-                "pending drain cleaning scale");
-        return false;
-    }
     if (!in.ok())
         return false;
     triggerBoost_ = trigger_boost;
     cleanScale_ = clean_scale;
-    drainCleanScale_ = drain_scale;
     ladderRng_.setState(rng);
     recalRng_.setState(recal_rng);
 

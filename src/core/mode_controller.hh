@@ -257,17 +257,6 @@ class ModeController
     // ---- Monitoring surface (monitor::ActionSink bridge). ----
 
     /**
-     * Drain the accumulated write backlog now (a monitor scheme judged
-     * the moment cheap - e.g. the node went quiet).  Requests write
-     * mode only when there is anything to write.  The entry this
-     * request arms earns `clean_scale` of the configured discretionary
-     * cleaning budget instead of the ambient setCleanBudgetScale()
-     * level, so a scheme can size the drain's cleaning to the idle
-     * window it detected rather than the full configured batch.
-     */
-    void requestWriteDrain(double clean_scale = 1.0);
-
-    /**
      * Additive boost on the write-mode trigger fill (clamped so the
      * effective trigger stays below 1): while a read-preference scheme
      * holds, the victim cache must fill `boost` further before an
@@ -454,12 +443,6 @@ class ModeController
     double triggerBoost_ = 0.0;
     /** Monitor-asserted cleaning-budget scale (1 = full budget). */
     double cleanScale_ = 1.0;
-    /**
-     * One-shot cleaning scale armed by requestWriteDrain() for the
-     * write-mode entry it triggers; negative means no drain pending
-     * and the ambient cleanScale_ applies.
-     */
-    double drainCleanScale_ = -1.0;
     util::Tick fastDisabledAt_ = 0;
     double ambientMultiplier_ = 1.0;
     std::uint64_t recoveryEventsSinceDemotion_ = 0;

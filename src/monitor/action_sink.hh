@@ -18,31 +18,14 @@
 #ifndef HDMR_MONITOR_ACTION_SINK_HH
 #define HDMR_MONITOR_ACTION_SINK_HH
 
-#include <cstdint>
-
 namespace hdmr::monitor
 {
-
-/** Advisory placement class for the bytes a scheme matched. */
-enum class PlacementClass : std::uint8_t
-{
-    kFast = 0, ///< margin-exploited fast modules
-    kSpec = 1, ///< at-specification modules
-};
 
 /** Where scheme actions land (implemented by the node layer). */
 class ActionSink
 {
   public:
     virtual ~ActionSink() = default;
-
-    /**
-     * Drain the accumulated dirty write backlog now, allowing the
-     * drain window `clean_fraction` of the configured discretionary
-     * LLC-cleaning budget on top (sized so the whole drain fits the
-     * idle window that prompted it).
-     */
-    virtual void drainWrites(double clean_fraction) = 0;
 
     /**
      * Additive boost on the write-mode trigger fill while a
@@ -70,10 +53,6 @@ class ActionSink
 
     /** Give back one margin step (permanent, like a recal demotion). */
     virtual void demoteMargin() = 0;
-
-    /** Advisory placement-class hint covering `bytes` of footprint. */
-    virtual void hintPlacement(PlacementClass cls,
-                               std::uint64_t bytes) = 0;
 };
 
 } // namespace hdmr::monitor

@@ -17,14 +17,11 @@ toString(SchemeAction action)
 {
     switch (action) {
       case SchemeAction::kStat: return "stat";
-      case SchemeAction::kDrainWrites: return "drain";
       case SchemeAction::kPreferReads: return "prefer_reads";
       case SchemeAction::kEpochShorten: return "epoch_shorten";
       case SchemeAction::kEpochLengthen: return "epoch_lengthen";
       case SchemeAction::kPromoteMargin: return "promote";
       case SchemeAction::kDemoteMargin: return "demote";
-      case SchemeAction::kHintFast: return "hint_fast";
-      case SchemeAction::kHintSpec: return "hint_spec";
     }
     return "?";
 }
@@ -33,11 +30,9 @@ bool
 schemeActionFromName(std::string_view name, SchemeAction *out)
 {
     static constexpr SchemeAction kAll[] = {
-        SchemeAction::kStat,          SchemeAction::kDrainWrites,
-        SchemeAction::kPreferReads,   SchemeAction::kEpochShorten,
-        SchemeAction::kEpochLengthen, SchemeAction::kPromoteMargin,
-        SchemeAction::kDemoteMargin,  SchemeAction::kHintFast,
-        SchemeAction::kHintSpec,
+        SchemeAction::kStat,          SchemeAction::kPreferReads,
+        SchemeAction::kEpochShorten,  SchemeAction::kEpochLengthen,
+        SchemeAction::kPromoteMargin, SchemeAction::kDemoteMargin,
     };
     for (const SchemeAction action : kAll) {
         if (name == toString(action)) {
@@ -155,9 +150,6 @@ SchemeConfig::validate() const
         return util::invalidArgument(
             "SchemeConfig.preferReadsCleanFraction must be in [0, 1]");
     }
-    if (!(drainCleanFraction >= 0.0 && drainCleanFraction <= 1.0))
-        return util::invalidArgument(
-            "SchemeConfig.drainCleanFraction must be in [0, 1]");
     if (!(epochShortenScale > 0.0 && epochShortenScale <= 1.0))
         return util::invalidArgument(
             "SchemeConfig.epochShortenScale must be in (0, 1]");
@@ -350,8 +342,6 @@ parseSetLine(std::size_t line_no,
         config->writeTriggerBoost = parsed;
     else if (key == "prefer_reads_clean_fraction")
         config->preferReadsCleanFraction = parsed;
-    else if (key == "drain_clean_fraction")
-        config->drainCleanFraction = parsed;
     else if (key == "epoch_shorten_scale")
         config->epochShortenScale = parsed;
     else if (key == "epoch_lengthen_scale")
@@ -435,15 +425,11 @@ defaultPhaseAdaptiveSchemes()
         "# the per-entry LLC-cleaning budget so a forced entry stalls\n"
         "# reads only as long as the backlog itself requires.\n"
         "#\n"
-        "# No quiet-window drain scheme ships by default.  Measured on\n"
-        "# the fig19 phase-heavy mix, forcing write-mode entries into\n"
-        "# checkpoint waits - even with drain_clean_fraction=0 - loses\n"
-        "# to letting the pressure path pick its own entry points: the\n"
-        "# backlog's one deferred flush is already scheduled into the\n"
-        "# cheapest slot, and extra entries only perturb it.  The drain\n"
-        "# action stays in the language (drain_clean_fraction sizes its\n"
-        "# cleaning to the window it fires into) for workloads with\n"
-        "# longer idle windows than a 10 us barrier wait.\n"
+        "# There is no quiet-window drain action: forcing write-mode\n"
+        "# entries into checkpoint waits measured worse than letting\n"
+        "# the pressure path pick its own entry points (+2.6 % alone,\n"
+        "# +6.2 % with the two schemes above, fig19 phase-heavy mix),\n"
+        "# so it was removed from the language.\n"
         "#\n"
         "# The node thresholds come from the measured per-aggregation\n"
         "# sample distribution on the fig19 node (5 us aggregations,\n"
@@ -451,7 +437,6 @@ defaultPhaseAdaptiveSchemes()
         "# few hundred accesses, compute-phase windows sample 1600+.\n"
         "set write_trigger_boost=0.08\n"
         "set prefer_reads_clean_fraction=0.1\n"
-        "set drain_clean_fraction=0.1\n"
         "scheme earn_margin acc=64:* wfrac=0.0:0.25 age=4:* "
         "node=1600:* action=promote quota=2 cooldown=16\n"
         "scheme prefer_reads_hot acc=64:* wfrac=0.0:0.25 node=1600:* "
@@ -493,12 +478,10 @@ SchemeEngine::onAggregation(const std::vector<Region> &regions,
         SchemeState &state = states_[i];
 
         bool matched = false;
-        std::uint64_t matched_bytes = 0;
         for (const Region &region : regions) {
             if (!scheme.predicate.matches(region, info))
                 continue;
             matched = true;
-            matched_bytes += region.sizeBytes();
             ++state.hits;
             HDMR_TM_INC(tm_[i].hits);
         }
@@ -534,22 +517,11 @@ SchemeEngine::onAggregation(const std::vector<Region> &regions,
         switch (scheme.action) {
           case SchemeAction::kStat:
             break; // accounting only
-          case SchemeAction::kDrainWrites:
-            sink_->drainWrites(config_.drainCleanFraction);
-            break;
           case SchemeAction::kPromoteMargin:
             sink_->promoteMargin();
             break;
           case SchemeAction::kDemoteMargin:
             sink_->demoteMargin();
-            break;
-          case SchemeAction::kHintFast:
-            sink_->hintPlacement(PlacementClass::kFast,
-                                 matched_bytes);
-            break;
-          case SchemeAction::kHintSpec:
-            sink_->hintPlacement(PlacementClass::kSpec,
-                                 matched_bytes);
             break;
           default:
             util::panic("unreachable scheme action");
@@ -625,7 +597,6 @@ SchemeEngine::saveState(snapshot::Serializer &out) const
     }
     out.writeDouble(config_.writeTriggerBoost);
     out.writeDouble(config_.preferReadsCleanFraction);
-    out.writeDouble(config_.drainCleanFraction);
     out.writeDouble(config_.epochShortenScale);
     out.writeDouble(config_.epochLengthenScale);
 
@@ -664,12 +635,10 @@ SchemeEngine::restoreState(snapshot::Deserializer &in)
     }
     const double boost = in.readDouble();
     const double clean_fraction = in.readDouble();
-    const double drain_fraction = in.readDouble();
     const double shorten = in.readDouble();
     const double lengthen = in.readDouble();
     if (in.ok() && (boost != config_.writeTriggerBoost ||
                     clean_fraction != config_.preferReadsCleanFraction ||
-                    drain_fraction != config_.drainCleanFraction ||
                     shorten != config_.epochShortenScale ||
                     lengthen != config_.epochLengthenScale)) {
         in.fail("scheme snapshot was taken under different scheme "

@@ -13,8 +13,8 @@
  * can push.
  *
  * Two action shapes exist:
- *  - *edge* actions fire once per matching aggregation (drain the
- *    write backlog, promote/demote a margin step, placement hints);
+ *  - *edge* actions fire once per matching aggregation (promote or
+ *    demote a margin step, or just count the match);
  *  - *level* actions hold while any matching region persists (read
  *    preference = write-trigger boost, epoch shorten/lengthen) and
  *    release when nothing matches - re-asserted idempotently after a
@@ -58,14 +58,11 @@ constexpr std::size_t kMaxSchemeConfigLineBytes = 4096;
 enum class SchemeAction : std::uint8_t
 {
     kStat = 0,       ///< count matches only (accounting)
-    kDrainWrites,    ///< drain the dirty write backlog now
     kPreferReads,    ///< hold: boost the write-mode trigger fill
     kEpochShorten,   ///< hold: scale the SDC epoch length down
     kEpochLengthen,  ///< hold: scale the SDC epoch length up
     kPromoteMargin,  ///< re-earn one margin step
     kDemoteMargin,   ///< give back one margin step
-    kHintFast,       ///< placement hint: fast modules
-    kHintSpec,       ///< placement hint: at-spec modules
 };
 
 const char *toString(SchemeAction action);
@@ -117,16 +114,9 @@ struct SchemeConfig
      * Cleaning-budget scale a kPreferReads hold applies: while reads
      * are hot, each write-mode window only earns this fraction of its
      * configured discretionary LLC-cleaning budget, deferring the
-     * bulk of the cleaning stall to the next quiet-phase drain.
+     * bulk of the cleaning stall until the hold releases.
      */
     double preferReadsCleanFraction = 0.1;
-    /**
-     * Cleaning-budget scale a kDrainWrites fire grants its write-mode
-     * entry: the drain flushes the whole dirty backlog, but its
-     * discretionary cleaning is sized to the idle window the scheme
-     * detected instead of the full configured batch.
-     */
-    double drainCleanFraction = 0.2;
     /** Epoch-length scale a kEpochShorten hold applies. */
     double epochShortenScale = 0.25;
     /** Epoch-length scale a kEpochLengthen hold applies. */
@@ -156,8 +146,7 @@ util::Status parseSchemeConfig(std::string_view text,
  * schemas/schemes/phase_adaptive.schemes; a ctest keeps the copy in
  * sync): re-earn the static guard band while hot read-dominated
  * phases hold, and defer discretionary write-mode work out of those
- * phases.  Deliberately ships no quiet-window drain scheme - see the
- * negative-result note in the text itself.
+ * phases.
  */
 const char *defaultPhaseAdaptiveSchemes();
 

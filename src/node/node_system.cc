@@ -24,14 +24,6 @@ class NodeActionSink : public monitor::ActionSink
     }
 
     void
-    drainWrites(double clean_fraction) override
-    {
-        ++drains_;
-        for (core::ModeController *mc : channels_)
-            mc->requestWriteDrain(clean_fraction);
-    }
-
-    void
     setWriteTriggerBoost(double boost) override
     {
         for (core::ModeController *mc : channels_)
@@ -68,27 +60,8 @@ class NodeActionSink : public monitor::ActionSink
             mc->demote();
     }
 
-    void
-    hintPlacement(monitor::PlacementClass cls,
-                  std::uint64_t bytes) override
-    {
-        // Placement is decided fleet-side (sched::); at node level the
-        // hint is advisory and only accounted.
-        if (cls == monitor::PlacementClass::kFast)
-            hintedFastBytes_ += bytes;
-        else
-            hintedSpecBytes_ += bytes;
-    }
-
-    std::uint64_t drains() const { return drains_; }
-    std::uint64_t hintedFastBytes() const { return hintedFastBytes_; }
-    std::uint64_t hintedSpecBytes() const { return hintedSpecBytes_; }
-
   private:
     std::vector<core::ModeController *> channels_;
-    std::uint64_t drains_ = 0;
-    std::uint64_t hintedFastBytes_ = 0;
-    std::uint64_t hintedSpecBytes_ = 0;
 };
 
 NodeSystem::NodeSystem(NodeConfig config) : config_(std::move(config))
@@ -693,8 +666,6 @@ NodeSystem::collectStats() const
         stats.schemeHits = engine_->totalHits();
         stats.schemeFires = engine_->totalFires();
     }
-    if (sink_)
-        stats.monitorDrains = sink_->drains();
 
     stats.energy = computeEnergy(energy);
     return stats;

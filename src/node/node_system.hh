@@ -73,7 +73,9 @@ struct NodeStats
     std::uint64_t monitorRegions = 0;      ///< final region count
     std::uint64_t schemeHits = 0;          ///< region-predicate matches
     std::uint64_t schemeFires = 0;         ///< actions applied
-    std::uint64_t monitorDrains = 0;       ///< scheme-requested drains
+    /** Always 0: the monitor's drain action was removed.  Kept so
+     *  digests over every NodeStats field stay unchanged. */
+    std::uint64_t monitorDrains = 0;
     /** Charged monitoring ticks / (exec ticks x cores): the modelled
      *  monitoring overhead the budget bounds. */
     double monitorOverheadFraction = 0.0;

@@ -129,8 +129,6 @@ TEST(SchemeConfigValidate, KnobRangesAndNames)
          "writeTriggerBoost"},
         {[](SchemeConfig &c) { c.preferReadsCleanFraction = -0.1; },
          "preferReadsCleanFraction"},
-        {[](SchemeConfig &c) { c.drainCleanFraction = 1.5; },
-         "drainCleanFraction"},
         {[](SchemeConfig &c) { c.epochShortenScale = 0.0; },
          "epochShortenScale"},
         {[](SchemeConfig &c) { c.epochLengthenScale = 0.5; },
@@ -165,9 +163,9 @@ TEST(SchemeConfigValidate, KnobRangesAndNames)
 TEST(SchemeConfigDeathTest, EngineConstructionFatalsOnBadConfig)
 {
     SchemeConfig config;
-    config.drainCleanFraction = -1.0;
+    config.preferReadsCleanFraction = -1.0;
     EXPECT_DEATH(SchemeEngine engine(config, nullptr),
-                 "drainCleanFraction");
+                 "preferReadsCleanFraction");
 }
 
 // ---- Region sampler. ------------------------------------------------
@@ -332,7 +330,6 @@ TEST(SchemeParser, ShippedDefaultParsesAndNamesItsSchemes)
                                         "stat_all"}));
     EXPECT_DOUBLE_EQ(config.writeTriggerBoost, 0.08);
     EXPECT_DOUBLE_EQ(config.preferReadsCleanFraction, 0.1);
-    EXPECT_DOUBLE_EQ(config.drainCleanFraction, 0.1);
     EXPECT_EQ(config.schemes[0].action, SchemeAction::kPromoteMargin);
     EXPECT_EQ(config.schemes[0].quota, 2u);
     EXPECT_EQ(config.schemes[0].cooldown, 16u);
@@ -346,7 +343,7 @@ TEST(SchemeParser, RangesStarsAndComments)
         "set epoch_shorten_scale=0.5\n"
         "scheme s1 size=4096:* acc=10:100 age=*:8 wfrac=0.25:* "
         "node=*:* action=epoch_shorten cooldown=3\n"
-        "scheme s2 action=hint_fast quota=7  # trailing comment\n";
+        "scheme s2 action=demote quota=7  # trailing comment\n";
     SchemeConfig config;
     ASSERT_TRUE(monitor::parseSchemeConfig(text, &config).ok());
     ASSERT_EQ(config.schemes.size(), 2u);
@@ -360,6 +357,7 @@ TEST(SchemeParser, RangesStarsAndComments)
     EXPECT_DOUBLE_EQ(p.minWriteFraction, 0.25);
     EXPECT_DOUBLE_EQ(p.maxWriteFraction, 1.0);
     EXPECT_DOUBLE_EQ(config.epochShortenScale, 0.5);
+    EXPECT_EQ(config.schemes[1].action, SchemeAction::kDemoteMargin);
     EXPECT_EQ(config.schemes[1].quota, 7u);
 }
 
@@ -369,12 +367,16 @@ TEST(SchemeParser, MalformedInputNeverHalfFillsTheOutput)
         "scheme\n",                                  // no name
         "scheme s1\n",                               // no action
         "scheme s1 action=warp_drive\n",             // unknown action
+        "scheme s1 action=drain\n",                  // removed action
+        "scheme s1 action=hint_fast\n",              // removed action
+        "scheme s1 action=hint_spec\n",              // removed action
         "scheme s1 action=stat bogus=1\n",           // unknown key
         "scheme s1 action=stat acc=nope:4\n",        // bad range
         "scheme s1 action=stat acc=9:4\n",           // inverted (validate)
         "scheme s1 action=stat quota=-3\n",          // bad number
         "scheme Bad_Upper action=stat\n",            // bad name charset
         "set unknown_knob=1\n",                      // unknown set key
+        "set drain_clean_fraction=0.1\n",            // removed set key
         "set write_trigger_boost=oops\n",            // bad set value
         "set write_trigger_boost=0.9\n",             // validate rejects
         "frobnicate s1\n",                           // unknown directive
@@ -454,48 +456,33 @@ struct FakeSink : monitor::ActionSink
     {
         std::string what;
         double value = 0.0;
-        std::uint64_t bytes = 0;
     };
     std::vector<Call> calls;
 
     void
-    drainWrites(double clean_fraction) override
-    {
-        calls.push_back({"drain", clean_fraction, 0});
-    }
-    void
     setWriteTriggerBoost(double boost) override
     {
-        calls.push_back({"boost", boost, 0});
+        calls.push_back({"boost", boost});
     }
     void
     setEpochScale(double scale) override
     {
-        calls.push_back({"epoch", scale, 0});
+        calls.push_back({"epoch", scale});
     }
     void
     setCleanFraction(double fraction) override
     {
-        calls.push_back({"clean", fraction, 0});
+        calls.push_back({"clean", fraction});
     }
     void
     promoteMargin() override
     {
-        calls.push_back({"promote", 0.0, 0});
+        calls.push_back({"promote", 0.0});
     }
     void
     demoteMargin() override
     {
-        calls.push_back({"demote", 0.0, 0});
-    }
-    void
-    hintPlacement(monitor::PlacementClass cls,
-                  std::uint64_t bytes) override
-    {
-        calls.push_back({cls == monitor::PlacementClass::kFast
-                             ? "hint_fast"
-                             : "hint_spec",
-                         0.0, bytes});
+        calls.push_back({"demote", 0.0});
     }
 
     std::size_t
@@ -535,17 +522,16 @@ aggAt(std::uint64_t index)
 TEST(SchemeEngine, EdgeActionHonorsQuotaAndCooldown)
 {
     FakeSink sink;
-    SchemeConfig config = oneScheme(SchemeAction::kDrainWrites,
-                                    /*quota=*/2, /*cooldown=*/2);
-    config.drainCleanFraction = 0.3;
-    SchemeEngine engine(config, &sink);
+    SchemeEngine engine(oneScheme(SchemeAction::kPromoteMargin,
+                                  /*quota=*/2, /*cooldown=*/2),
+                        &sink);
     const std::vector<Region> hot = {makeRegion(0, 4096, 50, 0, 1)};
 
     for (std::uint64_t i = 0; i < 10; ++i)
         engine.onAggregation(hot, aggAt(i));
     // Fires at index 0, cooldown masks 1-2, fires at 3, quota caps.
-    EXPECT_EQ(sink.count("drain"), 2u);
-    EXPECT_DOUBLE_EQ(sink.calls[0].value, 0.3);
+    EXPECT_EQ(sink.count("promote"), 2u);
+    EXPECT_EQ(sink.calls.size(), 2u);
     EXPECT_EQ(engine.states()[0].fires, 2u);
     EXPECT_EQ(engine.states()[0].lastFireAggregation, 3u);
     EXPECT_GT(engine.states()[0].hits, engine.states()[0].fires);
@@ -606,26 +592,33 @@ TEST(SchemeEngine, ShortenOutranksLengthen)
     EXPECT_DOUBLE_EQ(engine.epochScale(), 4.0);
 }
 
-TEST(SchemeEngine, PromoteDemoteAndPlacementHints)
+TEST(SchemeEngine, PromoteAndDemoteMargin)
 {
     FakeSink sink;
     SchemeConfig config;
     Scheme promote = oneScheme(SchemeAction::kPromoteMargin).schemes[0];
     promote.name = "promote";
-    Scheme hint = oneScheme(SchemeAction::kHintFast).schemes[0];
-    hint.name = "hint";
-    config.schemes = {promote, hint};
+    Scheme demote = oneScheme(SchemeAction::kDemoteMargin).schemes[0];
+    demote.name = "demote";
+    demote.predicate.minWriteFraction = 0.5;
+    config.schemes = {promote, demote};
     SchemeEngine engine(config, &sink);
 
-    const std::vector<Region> regions = {
+    // Two matching read-only regions: an edge action fires once per
+    // aggregation, not once per matching region.
+    const std::vector<Region> reads = {
         makeRegion(0, 4096, 50, 0, 1),
         makeRegion(4096, 8192, 60, 0, 2),
     };
-    engine.onAggregation(regions, aggAt(0));
+    engine.onAggregation(reads, aggAt(0));
     EXPECT_EQ(sink.count("promote"), 1u);
-    ASSERT_EQ(sink.count("hint_fast"), 1u);
-    // The hint covers the bytes of every matching region.
-    EXPECT_EQ(sink.calls.back().bytes, 4096u + 8192u);
+    EXPECT_EQ(sink.count("demote"), 0u);
+
+    const std::vector<Region> writes = {makeRegion(0, 4096, 50, 40, 1)};
+    engine.onAggregation(writes, aggAt(1));
+    EXPECT_EQ(sink.count("promote"), 2u);
+    EXPECT_EQ(sink.count("demote"), 1u);
+    EXPECT_EQ(sink.calls.back().what, "demote");
 }
 
 TEST(SchemeEngine, SnapshotRoundTripReassertsHolds)
@@ -656,11 +649,11 @@ TEST(SchemeEngine, SnapshotRoundTripReassertsHolds)
 
 TEST(SchemeEngine, RestoreRejectsForeignSchemeList)
 {
-    SchemeEngine source(oneScheme(SchemeAction::kStat), nullptr);
+    SchemeEngine source(oneScheme(SchemeAction::kPromoteMargin), nullptr);
     snapshot::Serializer out;
     source.saveState(out);
 
-    SchemeEngine other(oneScheme(SchemeAction::kDrainWrites), nullptr);
+    SchemeEngine other(oneScheme(SchemeAction::kDemoteMargin), nullptr);
     snapshot::Deserializer in(out.data());
     EXPECT_FALSE(other.restoreState(in));
 }
