@@ -16,6 +16,7 @@
 #include "node/energy.hh"
 #include "node/node_system.hh"
 #include "node/runner.hh"
+#include "snapshot/digest.hh"
 #include "workloads/hpc_workloads.hh"
 
 namespace
@@ -252,6 +253,68 @@ TEST(NodeSystem, Hierarchy2RunsAllSystems)
             config.usage = core::MemoryUsage::kUnder25;
         const auto stats = NodeSystem(config).run();
         EXPECT_GT(stats.execSeconds, 0.0) << toString(kind);
+    }
+}
+
+/** FNV-1a over every NodeStats field (doubles by bit pattern). */
+std::uint64_t
+statsDigest(const NodeStats &s)
+{
+    snapshot::Fnv1a hash;
+    for (const std::uint64_t v :
+         {s.instructions, s.memOps, s.dramReads, s.dramDemandReads,
+          s.dramWrites, s.dramWriteRankOps, s.rowHits,
+          s.rowMissesPlusConflicts, s.corrections, s.uncorrectedErrors,
+          s.demotions, s.quarantines, s.marginPromotions,
+          s.ladderRetries, s.ladderRecoveries, s.budgetDemotions,
+          s.cleanedLines, s.writeModeEntries, s.monitorSamples,
+          s.monitorAggregations, s.monitorSplits, s.monitorMerges,
+          s.monitorThrottles, s.monitorRegions, s.schemeHits,
+          s.schemeFires, s.monitorDrains})
+        hash.addU64(v);
+    for (const double v :
+         {s.execSeconds, s.avgReadLatencyNs, s.busUtilization,
+          s.readBandwidthGBs, s.writeBandwidthGBs, s.commFraction,
+          s.writeModeSeconds, s.transitionSeconds,
+          s.dramAccessesPerInstruction, s.energy.cpuStaticJ,
+          s.energy.cpuDynamicJ, s.energy.dramDynamicJ,
+          s.energy.dramBackgroundJ, s.energy.epiNj,
+          s.monitorOverheadFraction})
+        hash.addDouble(v);
+    return hash.value();
+}
+
+TEST(NodeSystem, StatsDigestPinnedForEveryMemorySystem)
+{
+    // Recorded results of every design: a refactor of the node engine
+    // (caches, controller, replication plans, core model) must leave
+    // all of them bit-identical.  Below 25 % usage Hetero-DMR+FMR
+    // keeps both copies, so FMR and Hetero-DMR+FMR exercise the
+    // two-candidate read choice; the error rate exercises recovery.
+    // Re-record only for a deliberate change of results.
+    const struct
+    {
+        MemorySystemKind kind;
+        std::uint64_t digest;
+    } kPinned[] = {
+        {MemorySystemKind::kCommercialBaseline, 0x6fa222695afdd4a6ull},
+        {MemorySystemKind::kExploitLatency, 0xa665af4fecbaeadcull},
+        {MemorySystemKind::kExploitFrequency, 0xe91a53a967d81d3aull},
+        {MemorySystemKind::kExploitFreqLat, 0xf31d57976cea4080ull},
+        {MemorySystemKind::kFmr, 0x17d89f73eb726d84ull},
+        {MemorySystemKind::kHeteroDmr, 0x98b26b53cd2669e5ull},
+        {MemorySystemKind::kHeteroDmrFmr, 0x5a33f64fe1b15c9full},
+    };
+    for (const auto &pinned : kPinned) {
+        auto config = smallConfig(pinned.kind);
+        config.memOpsPerCore = 6000;
+        config.warmupOpsPerCore = 3000;
+        config.usage = core::MemoryUsage::kUnder25;
+        config.readErrorProbability = 1.0e-3;
+        const NodeStats stats = NodeSystem(config).run();
+        EXPECT_EQ(statsDigest(stats), pinned.digest)
+            << toString(pinned.kind) << ": 0x" << std::hex
+            << statsDigest(stats);
     }
 }
 
