@@ -64,9 +64,12 @@ parseEvalRow(const traces::CsvCursor &at, const std::string &line,
     HDMR_RETURN_IF_ERROR(traces::parseCsvDouble(
         at, "dramAccessesPerInstruction", fields[8], 0.0, kHuge,
         &out.dramAccessesPerInstruction));
-    HDMR_RETURN_IF_ERROR(
-        traces::parseCsvDouble(at, "busUtilization", fields[9], 0.0,
-                               1.0, &out.busUtilization));
+    // Utilization is normalised to the 3200 MT/s specification peak;
+    // fast reads run up to the row's margin above it.
+    HDMR_RETURN_IF_ERROR(traces::parseCsvDouble(
+        at, "busUtilization", fields[9], 0.0,
+        (3200.0 + static_cast<double>(margin)) / 3200.0,
+        &out.busUtilization));
     HDMR_RETURN_IF_ERROR(traces::parseCsvDouble(
         at, "readBandwidthGBs", fields[10], 0.0, kHuge,
         &out.readBandwidthGBs));

@@ -39,7 +39,7 @@ struct EvalRow
     double execSeconds = 0.0;
     double epiNj = 0.0;
     double dramAccessesPerInstruction = 0.0;
-    double busUtilization = 0.0;
+    double busUtilization = 0.0; ///< <= (3200 + marginMts) / 3200
     double readBandwidthGBs = 0.0;
     double writeBandwidthGBs = 0.0;
     double commFraction = 0.0;

@@ -28,7 +28,17 @@ BM_ControllerRandomReads(benchmark::State &state)
         config.readModeTiming = dram::DramTiming::fromSetting(
             dram::MemorySetting::manufacturerSpec());
         config.writeModeTiming = config.readModeTiming;
-        dram::MemoryController controller(events, config);
+        struct : dram::ReadCompletionSink
+        {
+            std::function<void()> then;
+
+            void
+            readComplete(std::uint64_t, Tick) override
+            {
+                then();
+            }
+        } completions;
+        dram::MemoryController controller(events, config, &completions);
 
         util::Rng rng(7);
         std::uint64_t sequential = 0;
@@ -43,14 +53,14 @@ BM_ControllerRandomReads(benchmark::State &state)
                         ? (sequential++) * 64
                         : (rng.next() % (1ull << 30)) & ~63ull;
                 request.arrival = events.curTick();
-                request.onComplete = [&](Tick) {
-                    --outstanding;
-                    pump();
-                };
-                controller.enqueueRead(std::move(request));
+                controller.enqueueRead(request);
                 ++outstanding;
                 ++sent;
             }
+        };
+        completions.then = [&] {
+            --outstanding;
+            pump();
         };
         pump();
         events.run();

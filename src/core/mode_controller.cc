@@ -55,6 +55,7 @@ ModeController::buildControllerConfig(const ModeControllerConfig &config,
     cc.enterWriteModeLatency = switch_cost;
     cc.exitWriteModeLatency = switch_cost;
     cc.selfRefreshRankMask = config.plan.selfRefreshMask;
+    cc.rankPolicy = config.plan.rankPolicy;
     cc.readErrorProbability =
         config.plan.fastReads ? config.readErrorProbability : 0.0;
     cc.recoveryFailureProbability =
@@ -91,11 +92,6 @@ ModeController::ModeController(
     hooks.onReadError = [this] { onReadError(); };
     hooks.onUncorrectableError = [this] { onUncorrectableError(); };
     controller_.setHooks(std::move(hooks));
-
-    if (config_.plan.rankPolicy.readCandidates ||
-        config_.plan.rankPolicy.writeTargets) {
-        controller_.setRankPolicy(config_.plan.rankPolicy);
-    }
     controller_.setSelfRefreshMask(config_.plan.selfRefreshMask);
 
     reenableEvent_.setCallback([this] { reenableFastOperation(); });
@@ -117,7 +113,6 @@ ModeController::enqueueWriteNow(std::uint64_t address)
 {
     dram::MemRequest req;
     req.address = address;
-    req.type = dram::MemRequest::Type::kWrite;
     req.arrival = events_.curTick();
     controller_.enqueueWrite(std::move(req));
 }

@@ -82,18 +82,11 @@ ReplicationManager::planChannel(ReplicationMode mode)
         // manufacturer specification.
         plan.addressRanks = 2;
         plan.fastReads = false;
-        plan.rankPolicy.readCandidates = [](unsigned home) {
-            dram::RankSet s;
-            s.add(home);
-            s.add(home + 2);
-            return s;
-        };
-        plan.rankPolicy.writeTargets = [](unsigned home) {
-            dram::RankSet s;
-            s.add(home);
-            s.add(home + 2);
-            return s;
-        };
+        for (unsigned home = 0; home < 2; ++home) {
+            const std::uint32_t both = (1u << home) | (1u << (home + 2));
+            plan.rankPolicy.readMask[home] = both;
+            plan.rankPolicy.writeMask[home] = both;
+        }
         return plan;
 
       case ReplicationMode::kHeteroDmr:
@@ -103,15 +96,11 @@ ReplicationManager::planChannel(ReplicationMode mode)
         plan.addressRanks = 2;
         plan.fastReads = true;
         plan.selfRefreshMask = 0b0011;
-        plan.rankPolicy.readCandidates = [](unsigned home) {
-            return dram::RankSet::single(home + 2);
-        };
-        plan.rankPolicy.writeTargets = [](unsigned home) {
-            dram::RankSet s;
-            s.add(home);
-            s.add(home + 2);
-            return s;
-        };
+        for (unsigned home = 0; home < 2; ++home) {
+            plan.rankPolicy.readMask[home] = 1u << (home + 2);
+            plan.rankPolicy.writeMask[home] =
+                (1u << home) | (1u << (home + 2));
+        }
         return plan;
 
       case ReplicationMode::kHeteroDmrFmr:
@@ -122,19 +111,8 @@ ReplicationManager::planChannel(ReplicationMode mode)
         plan.addressRanks = 1;
         plan.fastReads = true;
         plan.selfRefreshMask = 0b0011;
-        plan.rankPolicy.readCandidates = [](unsigned) {
-            dram::RankSet s;
-            s.add(2);
-            s.add(3);
-            return s;
-        };
-        plan.rankPolicy.writeTargets = [](unsigned home) {
-            dram::RankSet s;
-            s.add(home);
-            s.add(2);
-            s.add(3);
-            return s;
-        };
+        plan.rankPolicy.readMask[0] = 0b1100;  // either copy
+        plan.rankPolicy.writeMask[0] = 0b1101; // original + both copies
         return plan;
     }
     util::panic("unknown replication mode");

@@ -6,8 +6,8 @@
  * free, i.e. memory utilization below 50 %), *which* module runs
  * unsafely fast (margin-aware selection picks the module with the
  * highest measured margin), and *where* copies live (same location
- * across ranks so broadcast writes work), including the rank policies
- * the memory controller needs for FMR, Hetero-DMR, and
+ * across ranks so broadcast writes work), including the rank-role
+ * tables the memory controller needs for FMR, Hetero-DMR, and
  * Hetero-DMR+FMR.  Also handles remapping away from modules with
  * permanent faults.
  */
@@ -55,7 +55,7 @@ struct ChannelPlan
     unsigned addressRanks = 4;
     /** Ranks parked in self-refresh during read mode (Hetero-DMR). */
     std::uint32_t selfRefreshMask = 0;
-    /** Rank policy for the memory controller. */
+    /** Rank roles per home rank (identity: no replication). */
     dram::RankPolicy rankPolicy;
     /** True when the Free Module runs faster than specification. */
     bool fastReads = false;

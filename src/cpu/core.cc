@@ -55,7 +55,7 @@ Core::finish()
 }
 
 void
-Core::onMissComplete(std::size_t miss_index, Tick when)
+Core::onMissComplete(std::uint64_t miss_index, Tick when)
 {
     // miss_index is a monotonically increasing sequence number; the
     // front of the window carries the oldest live index.
@@ -122,11 +122,8 @@ Core::process()
             }
             const std::uint64_t miss_index =
                 missesRetired_ + window_.size();
-            const CacheOutcome outcome = memory_.load(
-                id_, pendingOp_.address, now_,
-                [this, miss_index](Tick when) {
-                    onMissComplete(miss_index, when);
-                });
+            const CacheOutcome outcome =
+                memory_.load(id_, pendingOp_.address, now_, miss_index);
             ++instIssued_;
             ++stats_.instructions;
             ++stats_.loads;

@@ -62,14 +62,13 @@ class MemoryInterface
     virtual bool canAcceptMiss(unsigned core_id) = 0;
 
     /**
-     * Perform a load at time `now`.  If the access misses the LLC the
-     * implementation issues the DRAM read and later invokes
-     * `on_complete` with the fill tick; otherwise the returned
-     * outcome's latency applies.
+     * Perform a load at time `now`.  If the access needs DRAM the
+     * implementation later reports the fill to the core's
+     * Core::onMissComplete(`miss_index`, fill tick); otherwise the
+     * returned outcome's latency applies.
      */
     virtual CacheOutcome load(unsigned core_id, std::uint64_t address,
-                              Tick now,
-                              std::function<void(Tick)> on_complete) = 0;
+                              Tick now, std::uint64_t miss_index) = 0;
 
     /** Perform a store at time `now`; returns the core-visible cost. */
     virtual Tick store(unsigned core_id, std::uint64_t address,
@@ -101,6 +100,13 @@ class Core
     /** Begin execution at the given tick. */
     void start(Tick when);
 
+    /**
+     * The DRAM read miss `miss_index` waits on delivered its data at
+     * `when`.  Miss indices number the core's loads that needed
+     * DRAM, from 0.
+     */
+    void onMissComplete(std::uint64_t miss_index, Tick when);
+
     const CoreStats &stats() const { return stats_; }
     unsigned id() const { return id_; }
 
@@ -112,7 +118,6 @@ class Core
     };
 
     void process();
-    void onMissComplete(std::size_t miss_index, Tick when);
     bool blocked() const;
     void finish();
 

@@ -10,14 +10,16 @@ namespace hdmr::dram
 using util::Tick;
 
 MemoryController::MemoryController(sim::EventQueue &events,
-                                   ControllerConfig config)
+                                   ControllerConfig config,
+                                   ReadCompletionSink *completions)
     : events_(events), config_(config), pendingConfig_(config),
-      mapConfig_(), map_(AddressMapConfig{1, config.addressRanks,
-                                          config.banksPerRank, 128, 64}),
-      tryIssueEvent_(this), completionEvent_(this), rng_(config.seed)
+      map_(AddressMapConfig{1, config.addressRanks, config.banksPerRank,
+                            128, 64}),
+      completionSink_(completions), tryIssueEvent_(this),
+      completionEvent_(this), rng_(config.seed)
 {
     hdmr_assert(config_.ranksPerChannel >= 1 &&
-                config_.ranksPerChannel <= 32);
+                config_.ranksPerChannel <= kMaxRanksPerChannel);
     hdmr_assert(config_.addressRanks >= 1 &&
                 config_.addressRanks <= config_.ranksPerChannel);
     banks_.resize(config_.ranksPerChannel * config_.banksPerRank);
@@ -105,18 +107,6 @@ MemoryController::reconfigure(const ControllerConfig &config)
 }
 
 void
-MemoryController::setRankPolicy(RankPolicy policy)
-{
-    rankPolicy_ = std::move(policy);
-}
-
-void
-MemoryController::clearRankPolicy()
-{
-    rankPolicy_ = RankPolicy{};
-}
-
-void
 MemoryController::finalizeStats()
 {
     const Tick now = events_.curTick();
@@ -200,22 +190,6 @@ MemoryController::requestWriteMode()
 {
     writeModeRequested_ = true;
     scheduleTryIssue(events_.curTick());
-}
-
-RankSet
-MemoryController::readCandidatesFor(unsigned home_rank) const
-{
-    if (rankPolicy_.readCandidates)
-        return rankPolicy_.readCandidates(home_rank);
-    return RankSet::single(home_rank);
-}
-
-RankSet
-MemoryController::writeTargetsFor(unsigned home_rank) const
-{
-    if (rankPolicy_.writeTargets)
-        return rankPolicy_.writeTargets(home_rank);
-    return RankSet::single(home_rank);
 }
 
 void
@@ -421,11 +395,11 @@ MemoryController::pickFrFcfs(const std::deque<QueuedRequest> &queue,
 
     for (std::size_t i = 0; i < window; ++i) {
         const QueuedRequest &qr = queue[i];
-        const RankSet candidates =
-            is_write_queue ? writeTargetsFor(qr.coord.rank)
-                           : readCandidatesFor(qr.coord.rank);
-        for (std::uint8_t c = 0; c < candidates.count; ++c) {
-            const unsigned rank = candidates.ranks[c];
+        const std::uint32_t ranks =
+            is_write_queue ? config_.rankPolicy.writeMask[qr.coord.rank]
+                           : config_.rankPolicy.readMask[qr.coord.rank];
+        for (std::uint32_t left = ranks; left != 0; left &= left - 1) {
+            const unsigned rank = __builtin_ctz(left);
             BankState &bs = bank(rank, qr.coord.bank);
             agePagePolicy(bs, now);
             const AccessPlan plan =
@@ -458,13 +432,14 @@ MemoryController::issueRead(std::size_t queue_index)
     const DramTiming &t = activeTiming();
 
     // Choose the best candidate rank for this read.
-    const RankSet candidates = readCandidatesFor(qr.coord.rank);
-    hdmr_assert(candidates.count >= 1);
-    unsigned best_rank = candidates.ranks[0];
+    const std::uint32_t candidates =
+        config_.rankPolicy.readMask[qr.coord.rank];
+    hdmr_assert(candidates != 0);
+    unsigned best_rank = 0;
     AccessPlan best_plan;
     bool first = true;
-    for (std::uint8_t c = 0; c < candidates.count; ++c) {
-        const unsigned rank = candidates.ranks[c];
+    for (std::uint32_t left = candidates; left != 0; left &= left - 1) {
+        const unsigned rank = __builtin_ctz(left);
         hdmr_assert((config_.selfRefreshRankMask & (1u << rank)) == 0,
                     "read targeting a self-refreshing rank %u", rank);
         BankState &bs = bank(rank, qr.coord.bank);
@@ -537,7 +512,7 @@ MemoryController::issueRead(std::size_t queue_index)
     stats_.readLatencySum += complete - qr.request.arrival;
     ++stats_.readLatencySamples;
 
-    recordCompletion(complete, std::move(qr.request));
+    recordCompletion(complete, qr.request.address);
     scheduleTryIssue(best_plan.dataStart);
     return true;
 }
@@ -555,12 +530,13 @@ MemoryController::issueWrite(std::size_t queue_index)
     // target rank latches simultaneously (FMR's broadcasting design),
     // so the start time obeys the *max* of the rank constraints but
     // the bus is used once.
-    const RankSet targets = writeTargetsFor(qr.coord.rank);
-    hdmr_assert(targets.count >= 1);
+    const std::uint32_t targets =
+        config_.rankPolicy.writeMask[qr.coord.rank];
+    hdmr_assert(targets != 0);
     AccessPlan merged;
     bool any_hit = true;
-    for (std::uint8_t c = 0; c < targets.count; ++c) {
-        const unsigned rank = targets.ranks[c];
+    for (std::uint32_t left = targets; left != 0; left &= left - 1) {
+        const unsigned rank = __builtin_ctz(left);
         hdmr_assert((config_.selfRefreshRankMask & (1u << rank)) == 0,
                     "write targeting a self-refreshing rank %u", rank);
         BankState &bs = bank(rank, qr.coord.bank);
@@ -581,8 +557,8 @@ MemoryController::issueWrite(std::size_t queue_index)
         HDMR_TM_INC(tm_.rowMisses);
     }
 
-    for (std::uint8_t c = 0; c < targets.count; ++c) {
-        const unsigned rank = targets.ranks[c];
+    for (std::uint32_t left = targets; left != 0; left &= left - 1) {
+        const unsigned rank = __builtin_ctz(left);
         BankState &bs = bank(rank, qr.coord.bank);
         // Re-plan per rank to classify activates, then force the
         // merged start so every rank commits the same transaction.
@@ -597,40 +573,35 @@ MemoryController::issueWrite(std::size_t queue_index)
     HDMR_TM_INC(tm_.writes);
     HDMR_TM_INC(mode_ == ChannelMode::kWrite ? tm_.writeModeAccesses
                                              : tm_.readModeAccesses);
-    stats_.writeRankOps += targets.count;
-
-    if (qr.request.onComplete)
-        recordCompletion(merged.dataStart + t.tBURST,
-                         std::move(qr.request));
+    stats_.writeRankOps += __builtin_popcount(targets);
     scheduleTryIssue(merged.dataStart);
     return true;
 }
 
 void
-MemoryController::recordCompletion(Tick when, MemRequest &&request)
+MemoryController::recordCompletion(Tick when, std::uint64_t address)
 {
-    completions_[when].push_back(std::move(request));
-    const Tick first = completions_.begin()->first;
-    if (!completionEvent_.scheduled()) {
-        events_.schedule(&completionEvent_, first);
-    } else if (completionEvent_.when() > first) {
-        events_.reschedule(&completionEvent_, first);
-    }
+    hdmr_assert(completions_.empty() || completions_.back().when <= when,
+                "read completion out of bus order");
+    completions_.push_back(Completion{when, address});
+    // The event always sits at the front's tick; only the first push
+    // into an empty FIFO needs to schedule it.
+    if (!completionEvent_.scheduled())
+        events_.schedule(&completionEvent_, completions_.front().when);
 }
 
 void
 MemoryController::processCompletions()
 {
     const Tick now = events_.curTick();
-    while (!completions_.empty() && completions_.begin()->first <= now) {
-        auto node = completions_.extract(completions_.begin());
-        for (MemRequest &req : node.mapped()) {
-            if (req.onComplete)
-                req.onComplete(now);
-        }
+    while (!completions_.empty() && completions_.front().when <= now) {
+        const std::uint64_t address = completions_.front().address;
+        completions_.pop_front();
+        if (completionSink_ != nullptr)
+            completionSink_->readComplete(address, now);
     }
     if (!completions_.empty())
-        events_.schedule(&completionEvent_, completions_.begin()->first);
+        events_.schedule(&completionEvent_, completions_.front().when);
 }
 
 void
@@ -710,13 +681,6 @@ MemoryController::tryIssue()
         (hooks_.refillWrites && mode_ == ChannelMode::kWrite)) {
         scheduleTryIssue(now + 1000);
     }
-}
-
-unsigned
-MemoryController::bankIndex(const DramCoord &coord,
-                            unsigned banks_per_rank)
-{
-    return coord.rank * banks_per_rank + coord.bank;
 }
 
 } // namespace hdmr::dram

@@ -20,10 +20,10 @@
 #ifndef HDMR_DRAM_CONTROLLER_HH
 #define HDMR_DRAM_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "dram/address_map.hh"
@@ -44,39 +44,28 @@ enum class ChannelMode : std::uint8_t
     kTransition,      ///< switching modes / scaling frequency
 };
 
-/** A small set of candidate/broadcast ranks. */
-struct RankSet
-{
-    std::uint8_t count = 0;
-    std::uint8_t ranks[4] = {0, 0, 0, 0};
-
-    static RankSet
-    single(unsigned rank)
-    {
-        RankSet s;
-        s.count = 1;
-        s.ranks[0] = static_cast<std::uint8_t>(rank);
-        return s;
-    }
-
-    void
-    add(unsigned rank)
-    {
-        ranks[count++] = static_cast<std::uint8_t>(rank);
-    }
-};
+/** Most ranks one channel can hold (rank masks are 32-bit). */
+inline constexpr unsigned kMaxRanksPerChannel = 32;
 
 /**
- * Rank selection policy: given the decoded home rank of a block,
- * which ranks may serve a read (any one of them; the scheduler picks
- * the fastest) and which ranks a write must broadcast to (all of
- * them, in one bus transaction).  Identity by default; FMR and
- * Hetero-DMR install replication-aware policies.
+ * Rank roles per home rank (the rank the address map decodes a block
+ * to).  Bit r of readMask[home] lets rank r serve a read of such a
+ * block (any one of them; the scheduler picks the fastest); bit r of
+ * writeMask[home] makes rank r a target every write broadcasts to (all
+ * of them, in one bus transaction).  The controller visits the set
+ * bits in ascending rank order.  Identity by default; FMR and
+ * Hetero-DMR channel plans fill replication-aware tables.
  */
 struct RankPolicy
 {
-    std::function<RankSet(unsigned home_rank)> readCandidates;
-    std::function<RankSet(unsigned home_rank)> writeTargets;
+    std::array<std::uint32_t, kMaxRanksPerChannel> readMask;
+    std::array<std::uint32_t, kMaxRanksPerChannel> writeMask;
+
+    RankPolicy()
+    {
+        for (unsigned rank = 0; rank < kMaxRanksPerChannel; ++rank)
+            readMask[rank] = writeMask[rank] = 1u << rank;
+    }
 };
 
 /** Controller configuration. */
@@ -103,6 +92,8 @@ struct ControllerConfig
     bool refreshEnabled = true;
     /** Ranks parked in self-refresh (not accessible, self-managed). */
     std::uint32_t selfRefreshRankMask = 0;
+    /** Which ranks serve reads and take writes of each home rank. */
+    RankPolicy rankPolicy;
     /** Probability a read in read mode returns a detected error. */
     double readErrorProbability = 0.0;
     /** Channel-blocking penalty of the error-correction flow. */
@@ -176,13 +167,28 @@ struct ControllerHooks
 };
 
 /**
+ * Where a memory controller reports finished reads: one sink per
+ * controller, fixed at construction.  Reads complete in bus order.
+ */
+class ReadCompletionSink
+{
+  public:
+    virtual ~ReadCompletionSink() = default;
+
+    /** The read of block `address` delivered its data at `when`. */
+    virtual void readComplete(std::uint64_t address, util::Tick when) = 0;
+};
+
+/**
  * One memory channel.  Requests arrive via enqueueRead()/
- * enqueueWrite(); reads complete through their callback.
+ * enqueueWrite(); finished reads are reported to `completions`
+ * (nullptr: not reported).
  */
 class MemoryController
 {
   public:
-    MemoryController(sim::EventQueue &events, ControllerConfig config);
+    MemoryController(sim::EventQueue &events, ControllerConfig config,
+                     ReadCompletionSink *completions = nullptr);
 
     ~MemoryController();
 
@@ -192,12 +198,13 @@ class MemoryController
     /** True when the write queue cannot take another request. */
     bool writeQueueFull() const;
 
-    /** Submit a read; the request's callback fires on completion. */
+    /** Submit a read; its completion goes to the completion sink. */
     void enqueueRead(MemRequest request);
 
     /**
-     * Submit a write.  `rankMask` selects the broadcast targets; the
-     * transaction occupies the bus once regardless of fan-out.
+     * Submit a write.  It broadcasts to the rank policy's write
+     * targets; the transaction occupies the bus once regardless of
+     * fan-out.
      */
     void enqueueWrite(MemRequest request);
 
@@ -216,12 +223,6 @@ class MemoryController
 
     /** Install Hetero-DMR hooks. */
     void setHooks(ControllerHooks hooks) { hooks_ = std::move(hooks); }
-
-    /** Install a replication-aware rank policy (FMR / Hetero-DMR). */
-    void setRankPolicy(RankPolicy policy);
-
-    /** Remove any installed rank policy (back to identity). */
-    void clearRankPolicy();
 
     /** Park/unpark ranks in self-refresh (read-mode originals). */
     void setSelfRefreshMask(std::uint32_t mask);
@@ -247,10 +248,6 @@ class MemoryController
 
     /** Close out time-integrated statistics at the end of a run. */
     void finalizeStats();
-
-    /** Decode helper shared with upstream components. */
-    static unsigned bankIndex(const DramCoord &coord,
-                              unsigned banks_per_rank);
 
   private:
     struct BankState
@@ -292,9 +289,6 @@ class MemoryController
                       std::uint64_t row, const AccessPlan &plan,
                       bool is_write);
 
-    RankSet readCandidatesFor(unsigned home_rank) const;
-    RankSet writeTargetsFor(unsigned home_rank) const;
-
     void scheduleTryIssue(util::Tick when);
     void tryIssue();
     void maybeRefresh(util::Tick now);
@@ -302,7 +296,7 @@ class MemoryController
     void finishTransition();
     bool issueRead(std::size_t queue_index);
     bool issueWrite(std::size_t queue_index);
-    void recordCompletion(util::Tick when, MemRequest &&request);
+    void recordCompletion(util::Tick when, std::uint64_t address);
     void processCompletions();
 
     struct Pick
@@ -326,7 +320,6 @@ class MemoryController
     ControllerConfig pendingConfig_;
     bool reconfigurePending_ = false;
 
-    AddressMapConfig mapConfig_;
     AddressMap map_;
 
     std::deque<QueuedRequest> readQueue_;
@@ -344,7 +337,19 @@ class MemoryController
     util::Tick lastMaskChangeAt_ = 0;
     bool writeModeRequested_ = false;
 
-    std::map<util::Tick, std::vector<MemRequest>> completions_;
+    /** A read whose data arrives at `when`. */
+    struct Completion
+    {
+        util::Tick when;
+        std::uint64_t address;
+    };
+    /**
+     * Reads in flight, in bus order: a read completes when its burst
+     * (and any recovery) frees the bus, and busFreeAt_ never moves
+     * back, so pushes arrive in non-decreasing `when`.
+     */
+    std::deque<Completion> completions_;
+    ReadCompletionSink *completionSink_; ///< nullptr: not reported
 
     sim::EventWrapper<MemoryController, &MemoryController::tryIssue>
         tryIssueEvent_;
@@ -353,7 +358,6 @@ class MemoryController
         completionEvent_;
 
     ControllerHooks hooks_;
-    RankPolicy rankPolicy_;
     ControllerStats stats_;
     util::Rng rng_;
 

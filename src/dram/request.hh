@@ -8,7 +8,6 @@
 #define HDMR_DRAM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "util/units.hh"
 
@@ -17,31 +16,16 @@ namespace hdmr::dram
 
 using util::Tick;
 
-/** A 64-byte block request to the memory system. */
+/**
+ * A 64-byte block request to the memory system.  Which ranks serve it
+ * follows from its address through the controller's rank policy; a
+ * finished read is reported to the controller's completion sink.
+ */
 struct MemRequest
 {
-    enum class Type : std::uint8_t
-    {
-        kRead,
-        kWrite,
-    };
-
     std::uint64_t address = 0;
-    Type type = Type::kRead;
     Tick arrival = 0;
-    unsigned coreId = 0;
     bool isPrefetch = false;
-
-    /**
-     * Ranks allowed to serve the request, as a bitmask over the ranks
-     * of the owning channel.  Hetero-DMR's read mode restricts reads to
-     * the Free Module's ranks; a broadcast write targets all ranks of
-     * both the original and the copy in one bus transaction.
-     */
-    std::uint32_t rankMask = ~0u;
-
-    /** Completion callback (reads); invoked with the completion tick. */
-    std::function<void(Tick)> onComplete;
 };
 
 } // namespace hdmr::dram

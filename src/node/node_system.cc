@@ -141,7 +141,7 @@ NodeSystem::NodeSystem(NodeConfig config) : config_(std::move(config))
         auto cc = core::ModeController::buildControllerConfig(
             mc, config_.seed * 131 + ch);
         controllers_.push_back(
-            std::make_unique<dram::MemoryController>(events_, cc));
+            std::make_unique<dram::MemoryController>(events_, cc, this));
 
         const unsigned channels = h.channels;
         auto filter = [this, ch, channels](std::uint64_t addr) {
@@ -296,7 +296,7 @@ NodeSystem::warmUp(wl::AccessStream &stream, unsigned core_id,
     while (consumed < ops && stream.next(op)) {
         switch (op.kind) {
           case wl::Op::Kind::kLoad:
-            load(core_id, op.address, 0, nullptr);
+            load(core_id, op.address, 0, /*miss_index=*/0);
             ++consumed;
             break;
           case wl::Op::Kind::kStore:
@@ -309,45 +309,40 @@ NodeSystem::warmUp(wl::AccessStream &stream, unsigned core_id,
     }
 }
 
-void
+NodeSystem::InFlightLine *
 NodeSystem::issueDramRead(unsigned channel, std::uint64_t address,
-                          Tick when, bool prefetch,
-                          std::function<void(Tick)> on_complete)
+                          Tick when, bool prefetch)
 {
     if (warming_)
-        return;
+        return nullptr;
     dram::MemoryController &controller = *controllers_[channel];
     if (prefetch &&
         controller.readQueueDepth() * 2 >
             controller.config().readQueueCapacity) {
-        return; // drop prefetches under load
+        return nullptr; // drop prefetches under load
     }
 
-    // Open an MSHR entry; later demand touches join it.
-    const std::uint64_t line = address & ~63ull;
-    auto [it, inserted] = inFlight_.try_emplace(line);
-    if (!inserted) {
-        // Already in flight (demand merge); just add the waiter.
-        if (on_complete)
-            it->second.waiters.push_back(std::move(on_complete));
+    // Open an MSHR entry; later demand touches join it.  A line
+    // already in flight (demand merge) issues no second read.
+    auto [it, inserted] = inFlight_.try_emplace(address & ~63ull);
+    if (inserted) {
+        dram::MemRequest req;
+        req.address = address;
+        req.arrival = when;
+        req.isPrefetch = prefetch;
+        controller.enqueueRead(req);
+    }
+    return &it->second;
+}
+
+void
+NodeSystem::readComplete(std::uint64_t address, Tick when)
+{
+    auto node = inFlight_.extract(address & ~63ull);
+    if (node.empty())
         return;
-    }
-    if (on_complete)
-        it->second.waiters.push_back(std::move(on_complete));
-
-    dram::MemRequest req;
-    req.address = address;
-    req.type = dram::MemRequest::Type::kRead;
-    req.arrival = when;
-    req.isPrefetch = prefetch;
-    req.onComplete = [this, line](util::Tick t) {
-        auto node = inFlight_.extract(line);
-        if (node.empty())
-            return;
-        for (auto &waiter : node.mapped().waiters)
-            waiter(t);
-    };
-    controller.enqueueRead(std::move(req));
+    for (const InFlightLine::Waiter &waiter : node.mapped().waiters)
+        cores_[waiter.core]->onMissComplete(waiter.missIndex, when);
 }
 
 void
@@ -404,14 +399,14 @@ NodeSystem::runPrefetchers(unsigned core_id, std::uint64_t address,
             handleL3Fill(l2r.victimAddress, true, false, now);
         if (!in_l3) {
             handleL3Fill(line, false, true, now);
-            issueDramRead(channelOf(line), line, now, true, nullptr);
+            issueDramRead(channelOf(line), line, now, true);
         }
     }
 }
 
 cpu::CacheOutcome
 NodeSystem::load(unsigned core_id, std::uint64_t address, Tick now,
-                 std::function<void(Tick)> on_complete)
+                 std::uint64_t miss_index)
 {
     cpu::CacheOutcome outcome;
     const std::uint64_t line = address & ~63ull;
@@ -430,8 +425,7 @@ NodeSystem::load(unsigned core_id, std::uint64_t address, Tick now,
         const auto it = inFlight_.find(line);
         if (it != inFlight_.end()) {
             l1_[core_id]->access(line, false); // recency update
-            if (on_complete)
-                it->second.waiters.push_back(std::move(on_complete));
+            it->second.waiters.push_back({core_id, miss_index});
             // Keep the prefetchers training on the demand stream so
             // coverage extends ahead continuously (streaming).  Done
             // after the waiter registration: issuing prefetches can
@@ -475,10 +469,11 @@ NodeSystem::load(unsigned core_id, std::uint64_t address, Tick now,
 
     // LLC miss: issue the DRAM read; the line is installed
     // functionally now (MSHR-merge approximation), timing completes
-    // through the callback.
+    // when the read does (readComplete).
     installLine(core_id, line, false, now);
-    issueDramRead(channelOf(line), line, now, false,
-                  std::move(on_complete));
+    if (InFlightLine *entry =
+            issueDramRead(channelOf(line), line, now, false))
+        entry->waiters.push_back({core_id, miss_index});
     outcome.needsDram = true;
     return outcome;
 }
@@ -515,7 +510,7 @@ NodeSystem::store(unsigned core_id, std::uint64_t address, Tick now)
     if (!l3r.hit) {
         // Write-allocate fetch: occupies read bandwidth but does not
         // stall the store (store-buffer semantics).
-        issueDramRead(channelOf(line), line, now, false, nullptr);
+        issueDramRead(channelOf(line), line, now, false);
     }
     return storeCost_ + mon;
 }

@@ -55,7 +55,13 @@ struct NodeStats
     std::uint64_t cleanedLines = 0;
     std::uint64_t writeModeEntries = 0;
     double avgReadLatencyNs = 0.0;
-    double busUtilization = 0.0;      ///< fraction of peak bandwidth
+    /**
+     * Bytes moved over peak bandwidth at the design's specSetting()
+     * rate: 3200 MT/s for the replicating designs, whose fast reads
+     * run above it, so Hetero-DMR designs can exceed 1, up to
+     * (3200 + margin) / 3200.
+     */
+    double busUtilization = 0.0;
     double readBandwidthGBs = 0.0;
     double writeBandwidthGBs = 0.0;
     double commFraction = 0.0;        ///< MPI core-hours share
@@ -89,7 +95,8 @@ struct NodeStats
 };
 
 /** The node simulator. */
-class NodeSystem : public cpu::MemoryInterface
+class NodeSystem : public cpu::MemoryInterface,
+                   public dram::ReadCompletionSink
 {
   public:
     explicit NodeSystem(NodeConfig config);
@@ -102,10 +109,12 @@ class NodeSystem : public cpu::MemoryInterface
     bool canAcceptMiss(unsigned core_id) override;
     cpu::CacheOutcome load(unsigned core_id, std::uint64_t address,
                            util::Tick now,
-                           std::function<void(util::Tick)> on_complete)
-        override;
+                           std::uint64_t miss_index) override;
     util::Tick store(unsigned core_id, std::uint64_t address,
                      util::Tick now) override;
+
+    // dram::ReadCompletionSink: the line's waiting misses complete.
+    void readComplete(std::uint64_t address, util::Tick when) override;
 
     const NodeConfig &config() const { return config_; }
 
@@ -145,11 +154,17 @@ class NodeSystem : public cpu::MemoryInterface
     }
 
   private:
+    struct InFlightLine;
+
     unsigned channelOf(std::uint64_t address) const;
     void routeDirtyEviction(std::uint64_t address);
-    void issueDramRead(unsigned channel, std::uint64_t address,
-                       util::Tick when, bool prefetch,
-                       std::function<void(util::Tick)> on_complete);
+    /**
+     * Open (or join) the MSHR entry of `address`'s line, issuing the
+     * DRAM read when the entry is new.  nullptr when no read goes
+     * out: during warm-up, or for a prefetch dropped under load.
+     */
+    InFlightLine *issueDramRead(unsigned channel, std::uint64_t address,
+                                util::Tick when, bool prefetch);
     void installLine(unsigned core_id, std::uint64_t address,
                      bool dirty, util::Tick now);
     void handleL3Fill(std::uint64_t address, bool dirty, bool prefetched,
@@ -196,7 +211,13 @@ class NodeSystem : public cpu::MemoryInterface
      */
     struct InFlightLine
     {
-        std::vector<std::function<void(util::Tick)>> waiters;
+        /** Core misses stalled on the line, in arrival order. */
+        struct Waiter
+        {
+            unsigned core;
+            std::uint64_t missIndex;
+        };
+        std::vector<Waiter> waiters;
     };
     std::unordered_map<std::uint64_t, InFlightLine> inFlight_;
 

@@ -123,6 +123,32 @@ TEST(EvalCache, RejectsOutOfRangeUtilization)
         util::StatusCode::kOutOfRange, "busUtilization");
 }
 
+// Row 10 of fig12's grid cache: Hetero-DMR+FMR reads run at
+// 3200 + 800 MT/s, so utilization of the 3200 MT/s peak exceeds 1.
+const char *const kFig12Row10 =
+    "hpcg,HPCG,Hierarchy1,Hetero-DMR+FMR,800,0,0.00026938325799999999,"
+    "6.2221388716483199,0.033132584903172418,1.0819900322090543,"
+    "27.664733344341691,0.034211480210102736,0.10250688259179047,1";
+
+TEST(EvalCache, AcceptsUtilizationUpToTheMarginCeiling)
+{
+    EvalRow row;
+    const util::Status status = parseLine(kFig12Row10, &row);
+    ASSERT_TRUE(status.ok()) << status.toString();
+    EXPECT_EQ(row.system, "Hetero-DMR+FMR");
+    EXPECT_EQ(row.busUtilization, 1.0819900322090543);
+}
+
+TEST(EvalCache, RejectsUtilizationAboveTheMarginCeiling)
+{
+    // The same row at 1.30: above (3200 + 800) / 3200 = 1.25.
+    std::string line = kFig12Row10;
+    const std::string utilization = "1.0819900322090543";
+    line.replace(line.find(utilization), utilization.size(), "1.30");
+    expectRejected(line, util::StatusCode::kOutOfRange,
+                   "busUtilization");
+}
+
 TEST(EvalCache, RejectsOutOfRangeUsageClass)
 {
     expectRejected(

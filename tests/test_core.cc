@@ -177,14 +177,11 @@ TEST(Replication, HeteroDmrPlan)
     EXPECT_EQ(plan.addressRanks, 2u);
     EXPECT_EQ(plan.selfRefreshMask, 0b0011u);
     // Reads go ONLY to the Free Module (ranks 2-3).
-    const auto reads = plan.rankPolicy.readCandidates(0);
-    ASSERT_EQ(reads.count, 1);
-    EXPECT_EQ(reads.ranks[0], 2);
+    EXPECT_EQ(plan.rankPolicy.readMask[0], 0b0100u);
+    EXPECT_EQ(plan.rankPolicy.readMask[1], 0b1000u);
     // Writes broadcast to original + copy.
-    const auto writes = plan.rankPolicy.writeTargets(1);
-    ASSERT_EQ(writes.count, 2);
-    EXPECT_EQ(writes.ranks[0], 1);
-    EXPECT_EQ(writes.ranks[1], 3);
+    EXPECT_EQ(plan.rankPolicy.writeMask[0], 0b0101u);
+    EXPECT_EQ(plan.rankPolicy.writeMask[1], 0b1010u);
 }
 
 TEST(Replication, HeteroDmrFmrPlanHasTwoCopies)
@@ -192,10 +189,9 @@ TEST(Replication, HeteroDmrFmrPlanHasTwoCopies)
     const auto plan =
         ReplicationManager::planChannel(ReplicationMode::kHeteroDmrFmr);
     EXPECT_EQ(plan.addressRanks, 1u);
-    const auto reads = plan.rankPolicy.readCandidates(0);
-    EXPECT_EQ(reads.count, 2);
-    const auto writes = plan.rankPolicy.writeTargets(0);
-    EXPECT_EQ(writes.count, 3); // original + both copies
+    EXPECT_EQ(plan.rankPolicy.readMask[0], 0b1100u); // either copy
+    // Original + both copies.
+    EXPECT_EQ(plan.rankPolicy.writeMask[0], 0b1101u);
 }
 
 TEST(Replication, FmrPlanReadsEitherCopy)
@@ -204,10 +200,8 @@ TEST(Replication, FmrPlanReadsEitherCopy)
         ReplicationManager::planChannel(ReplicationMode::kFmr);
     EXPECT_FALSE(plan.fastReads);
     EXPECT_EQ(plan.selfRefreshMask, 0u);
-    const auto reads = plan.rankPolicy.readCandidates(1);
-    ASSERT_EQ(reads.count, 2);
-    EXPECT_EQ(reads.ranks[0], 1);
-    EXPECT_EQ(reads.ranks[1], 3);
+    EXPECT_EQ(plan.rankPolicy.readMask[1], 0b1010u);
+    EXPECT_EQ(plan.rankPolicy.writeMask[1], 0b1010u);
 }
 
 TEST(Replication, MarginAwareSelection)
@@ -246,6 +240,7 @@ TEST(ModeController, BuildsHeterogeneousTiming)
     EXPECT_EQ(cc.writeModeTiming.dataRateMts, 3200u);
     EXPECT_EQ(cc.enterWriteModeLatency, util::usToTicks(1.0));
     EXPECT_EQ(cc.selfRefreshRankMask, 0b0011u);
+    EXPECT_EQ(cc.rankPolicy.readMask[1], 0b1000u); // the plan's table
     EXPECT_EQ(cc.writeDrainLow, 0u); // drain the whole batch
 }
 

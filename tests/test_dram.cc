@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "dram/address_map.hh"
@@ -130,17 +132,40 @@ specConfig()
     return config;
 }
 
+/** Logs reads in delivery order; `then` (if set) runs after each. */
+struct ReadLog : ReadCompletionSink
+{
+    std::vector<std::pair<std::uint64_t, Tick>> delivered;
+    std::function<void(Tick)> then;
+
+    void
+    readComplete(std::uint64_t address, Tick when) override
+    {
+        delivered.emplace_back(address, when);
+        if (then)
+            then(when);
+    }
+};
+
+MemRequest
+readOf(std::uint64_t address)
+{
+    MemRequest request;
+    request.address = address;
+    return request;
+}
+
 TEST(Controller, SingleReadCompletesWithSensibleLatency)
 {
     sim::EventQueue events;
-    MemoryController controller(events, specConfig());
-    Tick done = 0;
-    MemRequest request;
-    request.address = 0x4000;
-    request.onComplete = [&](Tick t) { done = t; };
-    controller.enqueueRead(std::move(request));
+    ReadLog log;
+    MemoryController controller(events, specConfig(), &log);
+    controller.enqueueRead(readOf(0x4000));
     events.run();
+    ASSERT_EQ(log.delivered.size(), 1u);
+    EXPECT_EQ(log.delivered[0].first, 0x4000u);
     // Closed-bank read: ~tRCD + tCAS + tBURST = 30 ns.
+    const Tick done = log.delivered[0].second;
     EXPECT_GE(done, util::nsToTicks(25.0));
     EXPECT_LE(done, util::nsToTicks(60.0));
     EXPECT_EQ(controller.stats().reads, 1u);
@@ -151,46 +176,81 @@ TEST(Controller, RowHitsFasterThanConflicts)
     // Stream of same-row reads vs same-bank different-row reads.
     auto run = [](bool same_row) {
         sim::EventQueue events;
-        MemoryController controller(events, specConfig());
+        ReadLog log;
+        MemoryController controller(events, specConfig(), &log);
         const std::uint64_t row_stride = 64ull * 128 * 16 * 4;
-        Tick last = 0;
         for (int i = 0; i < 64; ++i) {
-            MemRequest request;
-            request.address = same_row
-                                  ? 0x10000 + 64ull * i
-                                  // XOR fold: use stride 17 rows to
-                                  // stay in one bank.
-                                  : 0x10000 + row_stride * 17 * i;
-            request.onComplete = [&](Tick t) {
-                last = std::max(last, t);
-            };
-            controller.enqueueRead(std::move(request));
+            // XOR fold: use stride 17 rows to stay in one bank.
+            controller.enqueueRead(
+                readOf(same_row ? 0x10000 + 64ull * i
+                                : 0x10000 + row_stride * 17 * i));
         }
         events.run();
-        return last;
+        return log.delivered.back().second;
     };
     EXPECT_LT(run(true), run(false));
 }
 
 TEST(Controller, ReadsCompleteInMonotoneBusOrder)
 {
-    sim::EventQueue events;
-    MemoryController controller(events, specConfig());
-    util::Rng rng(5);
-    std::vector<Tick> completions;
-    for (int i = 0; i < 200; ++i) {
-        MemRequest request;
-        request.address = (rng.next() % (1ull << 28)) & ~63ull;
-        request.onComplete = [&](Tick t) { completions.push_back(t); };
-        controller.enqueueRead(std::move(request));
-    }
-    events.run();
-    ASSERT_EQ(completions.size(), 200u);
-    // The data bus serializes bursts: completions never overlap.
-    std::sort(completions.begin(), completions.end());
-    for (std::size_t i = 1; i < completions.size(); ++i) {
-        EXPECT_GE(completions[i] - completions[i - 1],
-                  specConfig().readModeTiming.tBURST);
+    // The data bus serializes bursts, so reads are delivered in bus
+    // order, each at least one burst after the one before: checked as
+    // delivered, not sorted.  Legs: plain, with error recovery moving
+    // the bus-free time, and across a write-mode round trip that
+    // latches faster read timing (a shorter tBURST).
+    enum class Leg { kPlain, kErrors, kFasterAfterWriteMode };
+    for (const Leg leg : {Leg::kPlain, Leg::kErrors,
+                          Leg::kFasterAfterWriteMode}) {
+        auto config = specConfig();
+        if (leg == Leg::kErrors) {
+            config.readErrorProbability = 0.2;
+            config.errorRecoveryLatency = util::usToTicks(2.2);
+        }
+        sim::EventQueue events;
+        ReadLog log;
+        MemoryController controller(events, config, &log);
+        util::Rng rng(5);
+        std::vector<std::uint64_t> sent;
+        const auto send = [&](int reads) {
+            for (int i = 0; i < reads; ++i) {
+                sent.push_back((rng.next() % (1ull << 28)) & ~63ull);
+                controller.enqueueRead(readOf(sent.back()));
+            }
+        };
+        send(100);
+        Tick min_burst = config.readModeTiming.tBURST;
+        if (leg == Leg::kFasterAfterWriteMode) {
+            events.run();
+            auto fast = config;
+            fast.readModeTiming = DramTiming::fromSetting(
+                MemorySetting::exploitFreqLatMargins());
+            controller.reconfigure(fast);
+            controller.requestWriteMode();
+            min_burst = fast.readModeTiming.tBURST;
+        }
+        send(100);
+        events.run();
+
+        ASSERT_EQ(log.delivered.size(), sent.size());
+        for (std::size_t i = 1; i < log.delivered.size(); ++i) {
+            EXPECT_GE(log.delivered[i].second,
+                      log.delivered[i - 1].second + min_burst)
+                << "leg " << static_cast<int>(leg) << ", read " << i;
+        }
+        std::vector<std::uint64_t> got;
+        for (const auto &[address, when] : log.delivered)
+            got.push_back(address);
+        std::sort(got.begin(), got.end());
+        std::sort(sent.begin(), sent.end());
+        EXPECT_EQ(got, sent); // every read delivered exactly once
+        if (leg == Leg::kErrors) {
+            EXPECT_GT(controller.stats().readErrors, 10u);
+        }
+        if (leg == Leg::kFasterAfterWriteMode) {
+            EXPECT_EQ(controller.config().readModeTiming.tBURST,
+                      min_burst);
+            EXPECT_EQ(controller.stats().writeModeEntries, 1u);
+        }
     }
 }
 
@@ -202,8 +262,7 @@ TEST(Controller, WriteDrainEntersAndExitsWriteMode)
     for (std::size_t i = 0; i < config.writeDrainHigh + 4; ++i) {
         MemRequest request;
         request.address = 0x2000 + 64 * i;
-        request.type = MemRequest::Type::kWrite;
-        controller.enqueueWrite(std::move(request));
+        controller.enqueueWrite(request);
     }
     events.run();
     EXPECT_GE(controller.stats().writeModeEntries, 1u);
@@ -214,20 +273,15 @@ TEST(Controller, WriteDrainEntersAndExitsWriteMode)
 TEST(Controller, BroadcastWriteTouchesAllTargets)
 {
     sim::EventQueue events;
-    MemoryController controller(events, specConfig());
-    RankPolicy policy;
-    policy.writeTargets = [](unsigned home) {
-        RankSet set;
-        set.add(home);
-        set.add(home + 2);
-        return set;
-    };
-    controller.setRankPolicy(policy);
+    auto config = specConfig();
+    // Each home rank's copy sits in the other module: 0<->2, 1<->3.
+    for (unsigned home = 0; home < 4; ++home)
+        config.rankPolicy.writeMask[home] = (1u << home) | (1u << (home ^ 2));
+    MemoryController controller(events, config);
 
     MemRequest request;
     request.address = 0x8000;
-    request.type = MemRequest::Type::kWrite;
-    controller.enqueueWrite(std::move(request));
+    controller.enqueueWrite(request);
     controller.requestWriteMode();
     events.run();
     EXPECT_EQ(controller.stats().writes, 1u);      // one bus transfer
@@ -237,17 +291,14 @@ TEST(Controller, BroadcastWriteTouchesAllTargets)
 TEST(Controller, RefreshesHappenAtTrefiRate)
 {
     sim::EventQueue events;
-    MemoryController controller(events, specConfig());
+    ReadLog log;
+    MemoryController controller(events, specConfig(), &log);
     // Keep the channel alive for ~1 ms of simulated time.
-    std::function<void(Tick)> again = [&](Tick) {
-        if (events.curTick() < util::kTicksPerMs) {
-            MemRequest request;
-            request.address = 0x1000;
-            request.onComplete = again;
-            controller.enqueueRead(std::move(request));
-        }
+    log.then = [&](Tick) {
+        if (events.curTick() < util::kTicksPerMs)
+            controller.enqueueRead(readOf(0x1000));
     };
-    again(0);
+    controller.enqueueRead(readOf(0x1000));
     events.run();
     // 4 ranks x (1 ms / 7.8 us) ~= 512 refreshes.
     EXPECT_NEAR(static_cast<double>(controller.stats().refreshes),
@@ -259,22 +310,16 @@ TEST(Controller, SelfRefreshRanksAreNotRefreshed)
     sim::EventQueue events;
     auto config = specConfig();
     config.selfRefreshRankMask = 0b0011;
-    MemoryController controller(events, config);
-    std::function<void(Tick)> again = [&](Tick) {
-        if (events.curTick() < util::kTicksPerMs) {
-            MemRequest request;
-            request.address = 0x1000;
-            // Route to awake ranks via a policy below.
-            request.onComplete = again;
-            controller.enqueueRead(std::move(request));
-        }
+    // Route every read to the awake ranks.
+    for (unsigned home = 0; home < 4; ++home)
+        config.rankPolicy.readMask[home] = 1u << (2 + (home & 1));
+    ReadLog log;
+    MemoryController controller(events, config, &log);
+    log.then = [&](Tick) {
+        if (events.curTick() < util::kTicksPerMs)
+            controller.enqueueRead(readOf(0x1000));
     };
-    RankPolicy policy;
-    policy.readCandidates = [](unsigned home) {
-        return RankSet::single(2 + (home & 1));
-    };
-    controller.setRankPolicy(policy);
-    again(0);
+    controller.enqueueRead(readOf(0x1000));
     events.run();
     controller.finalizeStats(); // close time-integrated counters
     // Only the two awake ranks refresh: about half the refreshes.
@@ -295,11 +340,8 @@ TEST(Controller, ErrorInjectionCountsAndRecovers)
     hooks.onReadError = [&] { ++errors_seen; };
     controller.setHooks(std::move(hooks));
 
-    for (int i = 0; i < 100; ++i) {
-        MemRequest request;
-        request.address = 0x100000 + 64 * i;
-        controller.enqueueRead(std::move(request));
-    }
+    for (int i = 0; i < 100; ++i)
+        controller.enqueueRead(readOf(0x100000 + 64 * i));
     events.run();
     EXPECT_EQ(controller.stats().readErrors, errors_seen);
     EXPECT_NEAR(static_cast<double>(errors_seen), 50.0, 25.0);
@@ -323,8 +365,7 @@ TEST(Controller, ReconfigureAppliesAtTransition)
     for (int i = 0; i < 8; ++i) {
         MemRequest request;
         request.address = 0x3000 + 64 * i;
-        request.type = MemRequest::Type::kWrite;
-        controller.enqueueWrite(std::move(request));
+        controller.enqueueWrite(request);
     }
     controller.requestWriteMode();
     events.run();

@@ -89,7 +89,17 @@ class DataRateSweep : public ::testing::TestWithParam<unsigned>
         config.readModeTiming = dram::DramTiming::fromSetting(
             dram::MemorySetting::manufacturerSpec(rate_mts));
         config.writeModeTiming = config.readModeTiming;
-        dram::MemoryController controller(events, config);
+        struct : dram::ReadCompletionSink
+        {
+            std::function<void(util::Tick)> then;
+
+            void
+            readComplete(std::uint64_t, util::Tick when) override
+            {
+                then(when);
+            }
+        } completions;
+        dram::MemoryController controller(events, config, &completions);
         util::Rng rng(7);
         int outstanding = 0, sent = 0;
         util::Tick last = 0;
@@ -100,15 +110,15 @@ class DataRateSweep : public ::testing::TestWithParam<unsigned>
                 request.address =
                     (rng.next() % (1ull << 28)) & ~63ull;
                 request.arrival = events.curTick();
-                request.onComplete = [&](util::Tick t) {
-                    --outstanding;
-                    last = std::max(last, t);
-                    pump();
-                };
-                controller.enqueueRead(std::move(request));
+                controller.enqueueRead(request);
                 ++outstanding;
                 ++sent;
             }
+        };
+        completions.then = [&](util::Tick t) {
+            --outstanding;
+            last = std::max(last, t);
+            pump();
         };
         pump();
         events.run();

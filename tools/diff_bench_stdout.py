@@ -21,7 +21,7 @@ the four deterministic --smoke runs (advisor_soak's counts and
 latencies depend on timing, so it is never diffed).  Without it the
 list adds the grid figures (fig05, fig12-16, each from an empty
 results/ cache), fig17, fig18_resilience, and the full fig18_drift,
-ablation_heterodmr and ablation_hetreliability runs.
+ablation_heterodmr, ablation_hetreliability and fig19_monitor runs.
 """
 
 import difflib
@@ -63,6 +63,7 @@ FULL = [
     ["fig18_drift"],
     ["ablation_heterodmr"],
     ["ablation_hetreliability"],
+    ["fig19_monitor"],
 ]
 
 
