@@ -316,4 +316,133 @@ TEST(ClusterOverlay, SnapshotNeverResumesUnderForeignOverlay)
               std::nullopt);
 }
 
+// --------------------------------------------------------------------
+// Pinned outcomes
+// --------------------------------------------------------------------
+
+/** FNV-1a over every ClusterMetrics field and the digest trail. */
+std::uint64_t
+outcomeDigest(const RunOutcome &outcome)
+{
+    const ClusterMetrics &m = outcome.metrics;
+    snapshot::Fnv1a hash;
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(m.jobsCompleted), m.ueInjected,
+          m.jobKills, m.requeues, m.nodesFailed, m.nodesDemoted,
+          m.excursions, m.jobsDropped, m.tolerantUes, m.criticalUes,
+          m.jobsDegraded, m.pagesDegraded})
+        hash.addU64(v);
+    for (const double v :
+         {m.meanExecSeconds, m.meanQueueSeconds, m.meanTurnaroundSeconds,
+          m.meanNodeUtilization, m.acceleratedFraction,
+          m.lostNodeSeconds, m.checkpointOverheadSeconds,
+          m.dataQualityPenalty, m.copyNodeSeconds,
+          m.dmrCopyNodeSeconds})
+        hash.addDouble(v);
+    hash.addDouble(outcome.digests.epochSeconds);
+    hash.addU64(outcome.digests.digests.size());
+    for (const std::uint64_t d : outcome.digests.digests)
+        hash.addU64(d);
+    return hash.value();
+}
+
+TEST(ClusterSim, OutcomeDigestPinnedAcrossPolicies)
+{
+    // Recorded results of every scheduling feature: a refactor of the
+    // event loop, the backfill pass or the running-job bookkeeping
+    // must leave all of them bit-identical.  At a 6-hour cadence each
+    // digest hashes the live running set in start order, the pending
+    // queue and the resubmit queue.  Re-record only for a deliberate
+    // change of results.
+    JobTraceModel model;
+    model.numJobs = 2000;
+    model.systemNodes = 192;
+    model.spanSeconds = 10 * 86400.0;
+    const auto trace = GrizzlyTraceGenerator(model, 11).generate();
+
+    ClusterConfig base;
+    base.nodes = 192;
+    base.heteroDmr = true;
+    base.marginAware = true;
+
+    // Margin-unaware draws, UE kills with requeue backoff, node
+    // failures, demotions and checkpointing.
+    ClusterConfig faulted = base;
+    faulted.marginAware = false;
+    faulted.faults.intensity = 4.0;
+    faulted.faults.uncorrectablePerHour = 2.0e-4;
+    faulted.faults.nodeFailuresPerHour = 2.0e-5;
+    faulted.faults.demotionsPerHour = 1.0e-4;
+    faulted.faults.horizonSeconds = 10 * 86400.0;
+    faulted.resilience.checkpointIntervalSeconds = 1800.0;
+    faulted.resilience.checkpointOverheadFraction = 0.02;
+
+    // Hundreds of kills whose capped-exponential backoffs overlap, so
+    // resubmits leave their queue out of seq order.
+    ClusterConfig hetrel = base;
+    hetrel.placement.mode = core::PlacementMode::kHetReliability;
+    hetrel.faults.intensity = 1.0;
+    hetrel.faults.uncorrectablePerHour = 1.0e-2;
+    hetrel.faults.horizonSeconds = 10 * 86400.0;
+
+    ClusterConfig overlay = base;
+    overlay.faults.intensity = 1.0;
+    overlay.faults.uncorrectablePerHour = 2.0e-4;
+    overlay.faults.horizonSeconds = 10 * 86400.0;
+    fault::FaultEvent window;
+    window.kind = fault::FaultKind::kTemperatureExcursion;
+    window.atSeconds = 2 * 86400.0;
+    window.durationSeconds = 12 * 3600.0;
+    overlay.scheduleOverlay.push_back(window);
+    for (unsigned i = 0; i < 40; ++i) {
+        fault::FaultEvent demotion;
+        demotion.kind = fault::FaultKind::kGroupDemotion;
+        demotion.atSeconds = 86400.0 + 3600.0 * i;
+        demotion.target = i * 3;
+        overlay.scheduleOverlay.push_back(demotion);
+    }
+
+    ClusterConfig shallow = base;
+    shallow.backfillDepth = 4;
+
+    const struct
+    {
+        const char *name;
+        const ClusterConfig &config;
+        std::uint64_t digest;
+    } kPinned[] = {
+        {"margin-aware", base, 0xcdfa7e9bcf01ef42ull},
+        {"faulted", faulted, 0x1a429ebf96262e94ull},
+        {"het-reliability", hetrel, 0xbaa9baec13f26788ull},
+        {"overlay", overlay, 0xa1c25759a166ddedull},
+        {"backfill-depth-4", shallow, 0x8282cadfee6d758dull},
+    };
+    RunOptions options;
+    options.digestEverySeconds = 6 * 3600.0;
+    for (const auto &pinned : kPinned) {
+        const RunOutcome outcome =
+            ClusterSimulator(pinned.config).run(trace, options);
+        ASSERT_TRUE(outcome.completed) << pinned.name;
+        EXPECT_GT(outcome.digests.digests.size(), 30u) << pinned.name;
+        EXPECT_EQ(outcomeDigest(outcome), pinned.digest)
+            << pinned.name << ": 0x" << std::hex
+            << outcomeDigest(outcome);
+        const ClusterMetrics &m = outcome.metrics;
+        EXPECT_EQ(m.jobsCompleted + m.jobsDropped, trace.size())
+            << pinned.name;
+        EXPECT_GT(m.meanQueueSeconds, 0.0) << pinned.name;
+        if (&pinned.config == &faulted) {
+            EXPECT_GT(m.requeues, 0u);
+            EXPECT_GT(m.nodesFailed, 0u);
+            EXPECT_GT(m.nodesDemoted, 0u);
+        } else if (&pinned.config == &hetrel) {
+            EXPECT_GT(m.tolerantUes, 0u);
+            EXPECT_GT(m.requeues, 100u);
+        } else if (&pinned.config == &overlay) {
+            EXPECT_GT(m.excursions, 0u);
+            EXPECT_GT(m.nodesDemoted, 0u);
+        }
+    }
+}
+
 } // namespace
