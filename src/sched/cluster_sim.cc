@@ -230,25 +230,6 @@ metricsIdentical(const ClusterMetrics &a, const ClusterMetrics &b)
 }
 
 // --------------------------------------------------------------------
-// Heap orderings
-// --------------------------------------------------------------------
-
-namespace
-{
-
-/** Min-heap comparators: (time, seq) is a strict total order. */
-bool
-laterCompletion(const double a_time, const std::uint64_t a_seq,
-                const double b_time, const std::uint64_t b_seq)
-{
-    if (a_time != b_time)
-        return a_time > b_time;
-    return a_seq > b_seq;
-}
-
-} // namespace
-
-// --------------------------------------------------------------------
 // Construction / capacity
 // --------------------------------------------------------------------
 
@@ -683,7 +664,7 @@ ClusterSimulator::startJob(std::uint32_t job_index, double now)
     rj.allocated = allocated;
     rj.attempt = attempt;
     rj.estimatedEndTime = now + est;
-    rj.seq = st_.startSeq++;
+    const std::uint64_t seq = st_.startSeq++;
 
     if (kill_after < exec) {
         // Attempt dies mid-run; metrics for the job are deferred to
@@ -738,14 +719,11 @@ ClusterSimulator::startJob(std::uint32_t job_index, double now)
             exec * ckpt_ovh / (1.0 + ckpt_ovh);
         st_.spanEnd = std::max(st_.spanEnd, rj.endTime);
     }
-    st_.running.push_back(rj);
-    st_.completions.push_back(
-        Completion{rj.endTime, rj.seq, st_.running.size() - 1});
+    st_.estimates.insert(rj.estimate());
+    st_.running.emplace_hint(st_.running.end(), seq, rj);
+    st_.completions.push_back(Completion{rj.endTime, seq});
     std::push_heap(st_.completions.begin(), st_.completions.end(),
-                   [](const Completion &a, const Completion &b) {
-                       return laterCompletion(a.time, a.seq, b.time,
-                                              b.seq);
-                   });
+                   std::greater<>{});
 }
 
 void
@@ -780,24 +758,12 @@ ClusterSimulator::trySchedule(double now)
         return;
 
     // Head blocked: compute its reservation ("shadow") time from the
-    // running jobs' *estimated* completions.
+    // running jobs' *estimated* completions, earliest first.
     const unsigned needed =
         jobs[static_cast<std::size_t>(pending.front().jobIndex)].nodes;
-    std::vector<std::pair<double, unsigned>> est_frees;
-    est_frees.reserve(st_.running.size());
-    for (const RunningJob &rj : st_.running) {
-        if (!rj.live)
-            continue;
-        unsigned nodes = 0;
-        for (unsigned n : rj.allocated)
-            nodes += n;
-        est_frees.emplace_back(rj.estimatedEndTime, nodes);
-    }
-    std::sort(est_frees.begin(), est_frees.end());
-    const unsigned free_now = totalFree();
     double shadow_time = now;
-    unsigned accumulating = free_now;
-    for (const auto &[when, nodes] : est_frees) {
+    unsigned accumulating = totalFree();
+    for (const auto &[when, nodes] : st_.estimates) {
         accumulating += nodes;
         if (accumulating >= needed) {
             shadow_time = when;
@@ -896,15 +862,6 @@ ClusterSimulator::runLoop(const RunOptions &options)
                   snap_every
             : inf;
 
-    const auto completion_later = [](const Completion &a,
-                                     const Completion &b) {
-        return laterCompletion(a.time, a.seq, b.time, b.seq);
-    };
-    const auto resubmit_later = [](const Resubmit &a,
-                                   const Resubmit &b) {
-        return laterCompletion(a.time, a.seq, b.time, b.seq);
-    };
-
     bool completed = true;
     bool deadline_hit = false;
     while (st_.nextArrival < jobs.size() || !st_.completions.empty() ||
@@ -915,7 +872,7 @@ ClusterSimulator::runLoop(const RunOptions &options)
                 : inf;
         const double t_fault = st_.faults.nextTimeSeconds();
         const double t_resubmit =
-            st_.resubmits.empty() ? inf : st_.resubmits.front().time;
+            st_.resubmits.empty() ? inf : st_.resubmits.begin()->time;
         const double t_completion =
             st_.completions.empty() ? inf : st_.completions.front().time;
 
@@ -991,10 +948,8 @@ ClusterSimulator::runLoop(const RunOptions &options)
           }
 
           case Kind::kResubmit: {
-            const Resubmit resubmit = st_.resubmits.front();
-            std::pop_heap(st_.resubmits.begin(), st_.resubmits.end(),
-                          resubmit_later);
-            st_.resubmits.pop_back();
+            const Resubmit resubmit = *st_.resubmits.begin();
+            st_.resubmits.erase(st_.resubmits.begin());
             st_.pending.push_back(PendingJob{
                 static_cast<std::int64_t>(resubmit.jobIndex),
                 resubmit.time});
@@ -1004,10 +959,10 @@ ClusterSimulator::runLoop(const RunOptions &options)
           case Kind::kCompletion: {
             const Completion done = st_.completions.front();
             std::pop_heap(st_.completions.begin(),
-                          st_.completions.end(), completion_later);
+                          st_.completions.end(), std::greater<>{});
             st_.completions.pop_back();
-            RunningJob &rj = st_.running[done.index];
-            rj.live = false;
+            const RunningJob rj = st_.running.extract(done.seq).mapped();
+            st_.estimates.erase(st_.estimates.find(rj.estimate()));
             for (std::size_t g = 0; g < kGroups; ++g)
                 freePerGroup_[g] += rj.allocated[g];
             drainDeferredFaults();
@@ -1020,10 +975,8 @@ ClusterSimulator::runLoop(const RunOptions &options)
                     config_.resilience.requeueBackoffBaseSeconds *
                         std::pow(2.0, static_cast<double>(
                                           rj.attempt - 1)));
-                st_.resubmits.push_back(Resubmit{
+                st_.resubmits.insert(Resubmit{
                     now + backoff, rj.jobIndex, st_.resubmitSeq++});
-                std::push_heap(st_.resubmits.begin(),
-                               st_.resubmits.end(), resubmit_later);
             }
             break;
           }
@@ -1205,14 +1158,12 @@ ClusterSimulator::stateDigest() const
     hash.addDouble(st_.metrics.copyNodeSeconds);
     hash.addDouble(st_.metrics.dmrCopyNodeSeconds);
 
-    // Live running jobs in start order (dead slots are not state: a
-    // resumed run compacts them away and must hash identically).
-    std::uint64_t live = 0;
-    for (const RunningJob &rj : st_.running) {
-        if (!rj.live)
-            continue;
-        ++live;
-        hash.addU64(rj.seq);
+    // Running jobs in start order.  The estimate set holds one entry
+    // per running job; a size mismatch means a lost insert or erase.
+    hdmr_assert(st_.estimates.size() == st_.running.size(),
+                "estimate set out of step with the running jobs");
+    for (const auto &[seq, rj] : st_.running) {
+        hash.addU64(seq);
         hash.addU32(rj.jobIndex);
         hash.addDouble(rj.endTime);
         hash.addDouble(rj.estimatedEndTime);
@@ -1221,7 +1172,7 @@ ClusterSimulator::stateDigest() const
         hash.addU32(rj.attempt);
         hash.addU32(rj.killed ? 1 : 0);
     }
-    hash.addU64(live);
+    hash.addU64(st_.running.size());
 
     // The pending queue verbatim, including consumed backfill slots:
     // they still occupy backfill-depth window positions.
@@ -1231,17 +1182,8 @@ ClusterSimulator::stateDigest() const
         hash.addDouble(pj.submit);
     }
 
-    // Resubmits in canonical (time, seq) order; the heap's internal
-    // array order is layout-dependent and not state.
-    std::vector<Resubmit> resubmits = st_.resubmits;
-    std::sort(resubmits.begin(), resubmits.end(),
-              [](const Resubmit &a, const Resubmit &b) {
-                  if (a.time != b.time)
-                      return a.time < b.time;
-                  return a.seq < b.seq;
-              });
-    hash.addU64(resubmits.size());
-    for (const Resubmit &rs : resubmits) {
+    hash.addU64(st_.resubmits.size());
+    for (const Resubmit &rs : st_.resubmits) {
         hash.addDouble(rs.time);
         hash.addU32(rs.jobIndex);
         hash.addU64(rs.seq);
@@ -1294,16 +1236,12 @@ ClusterSimulator::serializeState(snapshot::Serializer &out) const
     out.writeU64(st_.eventsProcessed);
     saveMetrics(out, st_.metrics);
 
-    // Live running jobs only: the completion heap is rebuilt
-    // declaratively from these on restore, never serialized.
-    std::uint64_t live = 0;
-    for (const RunningJob &rj : st_.running)
-        live += rj.live ? 1 : 0;
-    out.writeU64(live);
-    for (const RunningJob &rj : st_.running) {
-        if (!rj.live)
-            continue;
-        out.writeU64(rj.seq);
+    // Running jobs in start order: the completion heap and the
+    // estimate set are rebuilt declaratively from these on restore,
+    // never serialized.
+    out.writeU64(st_.running.size());
+    for (const auto &[seq, rj] : st_.running) {
+        out.writeU64(seq);
         out.writeU32(rj.jobIndex);
         out.writeDouble(rj.endTime);
         out.writeDouble(rj.estimatedEndTime);
@@ -1319,15 +1257,8 @@ ClusterSimulator::serializeState(snapshot::Serializer &out) const
         out.writeDouble(pj.submit);
     }
 
-    std::vector<Resubmit> resubmits = st_.resubmits;
-    std::sort(resubmits.begin(), resubmits.end(),
-              [](const Resubmit &a, const Resubmit &b) {
-                  if (a.time != b.time)
-                      return a.time < b.time;
-                  return a.seq < b.seq;
-              });
-    out.writeU64(resubmits.size());
-    for (const Resubmit &rs : resubmits) {
+    out.writeU64(st_.resubmits.size());
+    for (const Resubmit &rs : st_.resubmits) {
         out.writeDouble(rs.time);
         out.writeU32(rs.jobIndex);
         out.writeU64(rs.seq);
@@ -1414,17 +1345,15 @@ ClusterSimulator::restoreState(const std::vector<std::uint8_t> &state,
         return reject(util::dataLoss("cluster snapshot: %s",
                                      in.error().c_str()));
 
-    // Each live running job occupies at least 46 payload bytes; the
+    // Each running job is exactly 45 payload bytes (seq 8, job index
+    // 4, two doubles 16, allocation 12, attempt 4, killed 1); the
     // division-based readCount check cannot be wrapped by a hostile
-    // count the way `live * 46 > remaining()` could.
-    const std::uint64_t live =
-        in.readCount("cluster snapshot running-job list", 46);
-    st_.running.clear();
-    st_.running.reserve(static_cast<std::size_t>(live));
-    st_.completions.clear();
-    for (std::uint64_t i = 0; i < live; ++i) {
+    // count the way `count * 45 > remaining()` could.
+    const std::uint64_t running_count =
+        in.readCount("cluster snapshot running-job list", 45);
+    for (std::uint64_t i = 0; i < running_count; ++i) {
+        const std::uint64_t seq = in.readU64();
         RunningJob rj;
-        rj.seq = in.readU64();
         rj.jobIndex = in.readU32();
         rj.endTime = in.readDouble();
         rj.estimatedEndTime = in.readDouble();
@@ -1432,20 +1361,25 @@ ClusterSimulator::restoreState(const std::vector<std::uint8_t> &state,
             n = in.readU32();
         rj.attempt = in.readU32();
         rj.killed = in.readBool();
-        rj.live = true;
-        if (in.ok() && rj.jobIndex >= jobs.size())
+        if (!in.ok())
+            break;
+        if (rj.jobIndex >= jobs.size())
             return reject(util::dataLoss(
                 "cluster snapshot: running job references a job "
                 "outside the trace"));
-        st_.running.push_back(rj);
-        st_.completions.push_back(
-            Completion{rj.endTime, rj.seq, st_.running.size() - 1});
+        if (!st_.running.empty() && seq <= st_.running.rbegin()->first)
+            return reject(util::dataLoss(
+                "cluster snapshot: running jobs out of start order"));
+        if (std::isnan(rj.estimatedEndTime))
+            return reject(util::dataLoss(
+                "cluster snapshot: running job has a NaN estimated "
+                "end time"));
+        st_.running.emplace_hint(st_.running.end(), seq, rj);
+        st_.estimates.insert(rj.estimate());
+        st_.completions.push_back(Completion{rj.endTime, seq});
     }
     std::make_heap(st_.completions.begin(), st_.completions.end(),
-                   [](const Completion &a, const Completion &b) {
-                       return laterCompletion(a.time, a.seq, b.time,
-                                              b.seq);
-                   });
+                   std::greater<>{});
 
     const std::uint64_t pending_count =
         in.readCount("cluster snapshot pending queue", 16);
@@ -1465,24 +1399,23 @@ ClusterSimulator::restoreState(const std::vector<std::uint8_t> &state,
 
     const std::uint64_t resubmit_count =
         in.readCount("cluster snapshot resubmit queue", 20);
-    st_.resubmits.clear();
-    st_.resubmits.reserve(static_cast<std::size_t>(resubmit_count));
     for (std::uint64_t i = 0; i < resubmit_count; ++i) {
         Resubmit rs;
         rs.time = in.readDouble();
         rs.jobIndex = in.readU32();
         rs.seq = in.readU64();
-        if (in.ok() && rs.jobIndex >= jobs.size())
+        if (!in.ok())
+            break;
+        if (rs.jobIndex >= jobs.size())
             return reject(util::dataLoss(
                 "cluster snapshot: resubmit references a job outside "
                 "the trace"));
-        st_.resubmits.push_back(rs);
+        if (!st_.resubmits.empty() && !(*st_.resubmits.rbegin() < rs))
+            return reject(util::dataLoss(
+                "cluster snapshot: resubmits out of (time, seq) "
+                "order"));
+        st_.resubmits.insert(st_.resubmits.end(), rs);
     }
-    std::make_heap(st_.resubmits.begin(), st_.resubmits.end(),
-                   [](const Resubmit &a, const Resubmit &b) {
-                       return laterCompletion(a.time, a.seq, b.time,
-                                              b.seq);
-                   });
 
     const std::uint64_t job_state_count = in.readU64();
     if (job_state_count != jobs.size())

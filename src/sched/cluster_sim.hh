@@ -33,7 +33,10 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/placement.hh"
@@ -363,8 +366,14 @@ class ClusterSimulator
         std::array<unsigned, kGroups> allocated = {0, 0, 0};
         unsigned attempt = 1;   ///< 1-based attempt number
         bool killed = false;    ///< this attempt ends in a UE kill
-        bool live = true;       ///< not yet completed
-        std::uint64_t seq = 0;  ///< start order, total tie-break
+
+        /** This job's entry in RunState::estimates. */
+        std::pair<double, unsigned>
+        estimate() const
+        {
+            return {estimatedEndTime,
+                    allocated[0] + allocated[1] + allocated[2]};
+        }
     };
 
     struct PendingJob
@@ -378,6 +387,14 @@ class ClusterSimulator
         double time = 0.0;
         std::uint32_t jobIndex = 0;
         std::uint64_t seq = 0; ///< FIFO among equal times
+
+        /** (time, seq) is a strict total order: the pop order. */
+        bool
+        operator<(const Resubmit &other) const
+        {
+            return time != other.time ? time < other.time
+                                      : seq < other.seq;
+        }
     };
 
     /** Per-job resilience state, indexed like the trace. */
@@ -396,8 +413,15 @@ class ClusterSimulator
     struct Completion
     {
         double time = 0.0;
-        std::uint64_t seq = 0;
-        std::size_t index = 0; ///< into `running`
+        std::uint64_t seq = 0; ///< key into `running`
+
+        /** (time, seq) order; std::greater makes the heap a min-heap. */
+        bool
+        operator>(const Completion &other) const
+        {
+            return time != other.time ? time > other.time
+                                      : seq > other.seq;
+        }
     };
 
     /**
@@ -409,11 +433,14 @@ class ClusterSimulator
     struct RunState
     {
         const std::vector<traces::Job> *jobs = nullptr;
-        std::vector<RunningJob> running;
+        /** Live attempts keyed by start seq: iteration is start order. */
+        std::map<std::uint64_t, RunningJob> running;
+        /** estimate() of every running job, in backfill walk order. */
+        std::multiset<std::pair<double, unsigned>> estimates;
         /** Min-heap keyed (endTime, seq). */
         std::vector<Completion> completions;
-        /** Min-heap keyed (time, seq). */
-        std::vector<Resubmit> resubmits;
+        /** Pending resubmissions in (time, seq) order. */
+        std::set<Resubmit> resubmits;
         std::deque<PendingJob> pending;
         std::vector<JobState> jobState;
         fault::ScheduleCursor faults;

@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "core/epoch_guard.hh"
 #include "fault/campaign.hh"
@@ -479,12 +481,14 @@ TEST(ClusterSnapshot, ResumeMatchesStraightThroughFaultFree)
     expectResumeBitIdentical(testConfig(), testTrace(), 4 * 86400.0);
 }
 
-TEST(ClusterSnapshot, ResumeMatchesStraightThroughWithFaults)
+/**
+ * Margin-unaware allocation consumes RNG draws and the fault campaign
+ * exercises the schedule cursor, requeues, and checkpointing - the
+ * full stochastic surface.
+ */
+sched::ClusterConfig
+faultedConfig()
 {
-    // Margin-unaware allocation consumes RNG draws and the fault
-    // campaign exercises the schedule cursor, requeues, and
-    // checkpointing - the full stochastic surface must survive the
-    // round-trip.
     sched::ClusterConfig config = testConfig();
     config.marginAware = false;
     config.faults.intensity = 4.0;
@@ -494,7 +498,127 @@ TEST(ClusterSnapshot, ResumeMatchesStraightThroughWithFaults)
     config.faults.horizonSeconds = 10 * 86400.0;
     config.resilience.checkpointIntervalSeconds = 1800.0;
     config.resilience.checkpointOverheadFraction = 0.02;
-    expectResumeBitIdentical(config, testTrace(), 5 * 86400.0);
+    return config;
+}
+
+TEST(ClusterSnapshot, ResumeMatchesStraightThroughWithFaults)
+{
+    expectResumeBitIdentical(faultedConfig(), testTrace(), 5 * 86400.0);
+}
+
+TEST(ClusterSnapshot, SaveRestoreSaveIsByteIdentical)
+{
+    // By day 5 about a thousand attempts have come and gone through
+    // the running set, and killed ones through the resubmit queue.  A
+    // restored simulator rebuilds both from the image; resuming with
+    // the same stop time stops again at once, and its image must not
+    // depend on how the containers were built.
+    const auto jobs = testTrace();
+    std::vector<std::vector<std::uint8_t>> images;
+    sched::RunOptions options;
+    options.digestEverySeconds = 6 * 3600.0;
+    options.stopAfterSeconds = 5 * 86400.0;
+    options.snapshotSink =
+        [&](const std::vector<std::uint8_t> &bytes) {
+            images.push_back(bytes);
+        };
+
+    sched::ClusterSimulator first(faultedConfig());
+    const sched::RunOutcome partial = first.run(jobs, options);
+    ASSERT_FALSE(partial.completed);
+    EXPECT_GT(partial.metrics.jobsCompleted, 900u);
+    EXPECT_GT(partial.metrics.requeues, 0u);
+    ASSERT_EQ(images.size(), 1u);
+
+    sched::ClusterSimulator second(faultedConfig());
+    const util::Status restored = second.restoreState(images[0], jobs);
+    ASSERT_TRUE(restored.ok()) << restored.message();
+    const sched::RunOutcome again = second.resume(options);
+    ASSERT_FALSE(again.completed);
+    EXPECT_EQ(again.eventsProcessed, partial.eventsProcessed);
+    ASSERT_EQ(images.size(), 2u);
+    EXPECT_EQ(images[1], images[0]);
+}
+
+TEST(ClusterSnapshot, RejectsOutOfOrderRunningJobsAndResubmits)
+{
+    // Running jobs are kept ordered by start seq and by estimated end
+    // time, resubmits by (time, seq), so an image with a repeated seq,
+    // a NaN estimate or swapped resubmits has no in-memory form:
+    // restore must refuse it, not drop or reorder entries.  The
+    // running list follows a fixed 401-byte prefix (fingerprints,
+    // capacity, RNG, counters, fault cursor, accumulators, metrics).
+    // Then come 45-byte running records (seq, job index, end time,
+    // estimate, ...), 16-byte pending entries and 20-byte resubmits,
+    // each list after its u64 count.
+    constexpr std::size_t kList = 401;
+    constexpr std::size_t kRunning = 45;
+    constexpr std::size_t kEstimate = 8 + 4 + 8;
+    constexpr std::size_t kPending = 16;
+    constexpr std::size_t kResubmit = 20;
+    const auto count_at = [](const std::vector<std::uint8_t> &image,
+                             std::size_t offset) {
+        Deserializer in(image.data() + offset, 8);
+        return static_cast<std::size_t>(in.readU64());
+    };
+
+    // Hourly images of a run whose frequent UE kills keep several
+    // requeued jobs waiting at once.
+    sched::ClusterConfig config = faultedConfig();
+    config.faults.uncorrectablePerHour = 1.0e-2;
+    const auto jobs = testTrace();
+    std::vector<std::vector<std::uint8_t>> images;
+    sched::RunOptions options;
+    options.snapshotEverySeconds = 3600.0;
+    options.snapshotSink =
+        [&](const std::vector<std::uint8_t> &bytes) {
+            images.push_back(bytes);
+        };
+    ASSERT_TRUE(sched::ClusterSimulator(config).run(jobs, options)
+                    .completed);
+
+    const auto expect_rejected = [&](const std::vector<std::uint8_t> &bad,
+                                     const char *reason) {
+        sched::ClusterSimulator resumed(config);
+        const util::Status status = resumed.restoreState(bad, jobs);
+        EXPECT_EQ(status.code(), util::StatusCode::kDataLoss)
+            << status.message();
+        EXPECT_NE(status.message().find(reason), std::string::npos)
+            << status.message();
+    };
+
+    bool swapped_resubmits = false;
+    for (const std::vector<std::uint8_t> &image : images) {
+        const std::size_t running = count_at(image, kList);
+        ASSERT_LE(running, config.nodes);
+        const std::size_t pending_at = kList + 8 + running * kRunning;
+        const std::size_t resubmits_at =
+            pending_at + 8 + count_at(image, pending_at) * kPending;
+        ASSERT_LT(resubmits_at, image.size());
+        if (running < 2 || count_at(image, resubmits_at) < 2)
+            continue;
+
+        std::vector<std::uint8_t> repeated = image;
+        std::copy_n(image.begin() + kList + 8, 8,
+                    repeated.begin() + kList + 8 + kRunning);
+        expect_rejected(repeated, "start order");
+
+        Serializer nan;
+        nan.writeDouble(std::numeric_limits<double>::quiet_NaN());
+        std::vector<std::uint8_t> unestimated = image;
+        std::copy(nan.data().begin(), nan.data().end(),
+                  unestimated.begin() + kList + 8 + kEstimate);
+        expect_rejected(unestimated, "NaN");
+
+        std::vector<std::uint8_t> reordered = image;
+        const auto first = reordered.begin() + resubmits_at + 8;
+        std::swap_ranges(first, first + kResubmit, first + kResubmit);
+        expect_rejected(reordered, "resubmits out of");
+        swapped_resubmits = true;
+        break;
+    }
+    EXPECT_TRUE(swapped_resubmits)
+        << "no hourly image held two running jobs and two resubmits";
 }
 
 TEST(ClusterSnapshot, PeriodicSnapshotsAllRestorable)
