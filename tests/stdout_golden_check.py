@@ -14,7 +14,9 @@ The checked-in files it guards:
   * schemas/schemes/phase_adaptive.schemes, the operator-facing copy
     of monitor::defaultPhaseAdaptiveSchemes(), against
     `fig19_monitor --dump-schemes`;
-  * tests/golden/<bench>.stdout, the stdout of paper-figure benches.
+  * tests/golden/<bench>.stdout, the stdout of paper-figure benches
+    and of `fig19_monitor --smoke`;
+  * tests/golden/example_<name>.stdout, the stdout of the examples.
 
 Bench stdout is deterministic, so a difference is a change of results.
 Regenerating a file is a deliberate copy of the command's stdout over
