@@ -17,11 +17,12 @@
  *                           UEs run elevated (errors eaten between the
  *                           crossing and the reactive ladder noticing),
  *                           hot windows carry the full UE multiplier
- *   recalibrating-drift     the online guard-band loop
- *                           (core::ModeController recalibration)
- *                           re-qualifies margins as they move: the same
- *                           physical demotions, but no error storms -
- *                           base UE rate and halved hot-window exposure
+ *   recalibrating-drift     a fleet assumed to re-qualify margins as
+ *                           they move, modelled by its effect alone:
+ *                           the same demotion crossings, at the organic
+ *                           UE rate (no x4 storm) and a 2x hot-window
+ *                           UE multiplier instead of 4x.  No node-level
+ *                           loop runs; the leg is a ClusterConfig.
  *
  * Graceful degradation is gated, not just printed: the recalibrating
  * fleet must keep steady-state throughput loss <= 15 % vs. the

@@ -16,8 +16,10 @@
  * construction, not by luck.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "sched/cluster_sim.hh"
 #include "snapshot_cli.hh"
@@ -112,7 +114,37 @@ main(int argc, char **argv)
                 ckpt.meanTurnaroundSeconds / 3600.0,
                 worst.lostNodeSeconds, ckpt.lostNodeSeconds);
 
-    std::printf("\ncampaign accounting at intensity %.1f:\n%s",
-                intensities[5], worst.counters().toString().c_str());
+    // One aligned "name  value" line per metric, sorted by name; whole
+    // values print as integers.
+    const std::pair<const char *, double> accounting[] = {
+        {"cluster.checkpoint_overhead_seconds",
+         worst.checkpointOverheadSeconds},
+        {"cluster.copy_node_seconds", worst.copyNodeSeconds},
+        {"cluster.critical_ues", static_cast<double>(worst.criticalUes)},
+        {"cluster.data_quality_penalty", worst.dataQualityPenalty},
+        {"cluster.dmr_copy_node_seconds", worst.dmrCopyNodeSeconds},
+        {"cluster.excursions", static_cast<double>(worst.excursions)},
+        {"cluster.job_kills", static_cast<double>(worst.jobKills)},
+        {"cluster.jobs_completed",
+         static_cast<double>(worst.jobsCompleted)},
+        {"cluster.jobs_degraded", static_cast<double>(worst.jobsDegraded)},
+        {"cluster.jobs_dropped", static_cast<double>(worst.jobsDropped)},
+        {"cluster.lost_node_seconds", worst.lostNodeSeconds},
+        {"cluster.nodes_demoted", static_cast<double>(worst.nodesDemoted)},
+        {"cluster.nodes_failed", static_cast<double>(worst.nodesFailed)},
+        {"cluster.pages_degraded",
+         static_cast<double>(worst.pagesDegraded)},
+        {"cluster.requeues", static_cast<double>(worst.requeues)},
+        {"cluster.tolerant_ues", static_cast<double>(worst.tolerantUes)},
+        {"cluster.ue_injected", static_cast<double>(worst.ueInjected)},
+    };
+    std::printf("\ncampaign accounting at intensity %.1f:\n",
+                intensities[5]);
+    for (const auto &[name, value] : accounting) {
+        if (value == std::floor(value) && value < 1e15)
+            std::printf("%-37s%lld\n", name, static_cast<long long>(value));
+        else
+            std::printf("%-37s%g\n", name, value);
+    }
     return runner.finish();
 }

@@ -26,8 +26,6 @@
 
 #include <cstdint>
 
-#include "util/stats.hh"
-
 namespace hdmr::fault
 {
 
@@ -59,9 +57,7 @@ struct FaultEvent
 
 /**
  * Bottom-up fault accounting.  Every layer that receives injected
- * faults keeps one of these; campaign runners merge them and report
- * through util::CounterSet so node-level and cluster-level numbers
- * share one vocabulary.
+ * faults keeps one of these; campaign runners merge them.
  */
 struct FaultAccounting
 {
@@ -83,24 +79,6 @@ struct FaultAccounting
         excursions += other.excursions;
         nodeFailures += other.nodeFailures;
         groupDemotions += other.groupDemotions;
-    }
-
-    /** Export into the shared counter vocabulary. */
-    util::CounterSet
-    counters() const
-    {
-        util::CounterSet set;
-        set.add("fault.injected", static_cast<double>(injected));
-        set.add("fault.detected_errors",
-                static_cast<double>(detectedErrors));
-        set.add("fault.uncorrectable", static_cast<double>(uncorrectable));
-        set.add("fault.margin_drift_mts",
-                static_cast<double>(marginDriftMts));
-        set.add("fault.excursions", static_cast<double>(excursions));
-        set.add("fault.node_failures", static_cast<double>(nodeFailures));
-        set.add("fault.group_demotions",
-                static_cast<double>(groupDemotions));
-        return set;
     }
 };
 

@@ -51,7 +51,8 @@ class ActionSink
     /** Re-earn one margin step (bounded by the qualified rate). */
     virtual void promoteMargin() = 0;
 
-    /** Give back one margin step (permanent, like a recal demotion). */
+    /** Give back one margin step (permanent, like a quarantine-policy
+     *  demotion). */
     virtual void demoteMargin() = 0;
 };
 

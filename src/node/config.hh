@@ -69,8 +69,8 @@ struct NodeConfig
      * qualified fast rate (the paper's per-module thresholds are
      * provisioned for the worst observed phase, so the shipped
      * operating point sits below what profiling qualified).  Applied
-     * in quarantine.demoteStepMts steps; a monitor promote scheme (or
-     * recalibration) can re-earn it online.  0 keeps seed behaviour.
+     * in quarantine.demoteStepMts steps; a monitor promote scheme can
+     * re-earn it online.  0 keeps seed behaviour.
      */
     unsigned marginGuardBandMts = 0;
     core::MemoryUsage usage = core::MemoryUsage::kUnder50;
@@ -85,8 +85,6 @@ struct NodeConfig
     double recoveryFailureProbability = 0.0;
     /** Quarantine / margin-demotion policy (defaults: disabled). */
     core::QuarantinePolicy quarantine;
-    /** Hardened recovery ladder (defaults: disabled, seed behaviour). */
-    core::RecoveryLadderConfig ladder;
     /** LLC lines proactively cleaned per write-mode window (III-A1). */
     std::size_t cleanLinesPerWriteMode = 12800;
     /** Frequency-scaling transition latency in microseconds (Fig. 9). */

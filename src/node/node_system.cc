@@ -47,10 +47,8 @@ class NodeActionSink : public monitor::ActionSink
     void
     promoteMargin() override
     {
-        // Deferred: the retiming latches at the channel's next natural
-        // mode transition rather than forcing one mid-compute.
         for (core::ModeController *mc : channels_)
-            mc->promote(/*immediate=*/false);
+            mc->promote();
     }
 
     void
@@ -80,7 +78,6 @@ NodeSystem::NodeSystem(NodeConfig config) : config_(std::move(config))
     mc.readErrorProbability = config_.readErrorProbability;
     mc.recoveryFailureProbability = config_.recoveryFailureProbability;
     mc.quarantine = config_.quarantine;
-    mc.ladder = config_.ladder;
     mc.cleanLinesPerWriteMode = config_.cleanLinesPerWriteMode;
     mc.frequencyTransitionLatency =
         util::usToTicks(config_.frequencyTransitionUs);
@@ -152,9 +149,6 @@ NodeSystem::NodeSystem(NodeConfig config) : config_(std::move(config))
         core::ModeControllerConfig mc_ch = mc;
         mc_ch.writeModeTriggerFill =
             mc.writeModeTriggerFill - 0.03 * static_cast<double>(ch);
-        // Decorrelate retry-outcome streams across channels (and nodes).
-        mc_ch.ladder.seed =
-            mc.ladder.seed ^ (config_.seed * 0x9e3779b97f4a7c15ULL + ch);
         modeControllers_.push_back(std::make_unique<core::ModeController>(
             events_, *controllers_.back(), l3_.get(), filter, mc_ch));
     }
@@ -613,10 +607,7 @@ NodeSystem::collectStats() const
         stats.uncorrectedErrors += mc->stats().uncorrectedErrors;
         stats.demotions += mc->stats().demotions;
         stats.quarantines += mc->stats().quarantines;
-        stats.marginPromotions += mc->stats().recalPromotions;
-        stats.ladderRetries += mc->stats().ladderRetries;
-        stats.ladderRecoveries += mc->stats().ladderRecoveries;
-        stats.budgetDemotions += mc->stats().budgetDemotions;
+        stats.marginPromotions += mc->stats().promotions;
         stats.cleanedLines += mc->stats().cleanedLines;
     }
 

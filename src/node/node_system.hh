@@ -49,9 +49,12 @@ struct NodeStats
     std::uint64_t demotions = 0;         ///< fast setting lowered a step
     std::uint64_t quarantines = 0;       ///< channels retired to spec
     std::uint64_t marginPromotions = 0;  ///< guard-band steps re-earned
-    std::uint64_t ladderRetries = 0;     ///< recovery retry rungs walked
-    std::uint64_t ladderRecoveries = 0;  ///< UEs averted by a retry rung
-    std::uint64_t budgetDemotions = 0;   ///< error-budget demotions
+    /** Always 0: the mode controller's retry ladder and error budget
+     *  were removed (a failed recovery escalates straight to a UE).
+     *  Kept so digests over every NodeStats field stay unchanged. */
+    std::uint64_t ladderRetries = 0;
+    std::uint64_t ladderRecoveries = 0;
+    std::uint64_t budgetDemotions = 0;
     std::uint64_t cleanedLines = 0;
     std::uint64_t writeModeEntries = 0;
     double avgReadLatencyNs = 0.0;

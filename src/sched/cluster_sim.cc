@@ -120,34 +120,6 @@ ClusterConfig::validate() const
 // Metrics
 // --------------------------------------------------------------------
 
-util::CounterSet
-ClusterMetrics::counters() const
-{
-    util::CounterSet set;
-    set.add("cluster.jobs_completed",
-            static_cast<double>(jobsCompleted));
-    set.add("cluster.ue_injected", static_cast<double>(ueInjected));
-    set.add("cluster.job_kills", static_cast<double>(jobKills));
-    set.add("cluster.requeues", static_cast<double>(requeues));
-    set.add("cluster.nodes_failed", static_cast<double>(nodesFailed));
-    set.add("cluster.nodes_demoted", static_cast<double>(nodesDemoted));
-    set.add("cluster.excursions", static_cast<double>(excursions));
-    set.add("cluster.jobs_dropped", static_cast<double>(jobsDropped));
-    set.add("cluster.lost_node_seconds", lostNodeSeconds);
-    set.add("cluster.checkpoint_overhead_seconds",
-            checkpointOverheadSeconds);
-    set.add("cluster.tolerant_ues", static_cast<double>(tolerantUes));
-    set.add("cluster.critical_ues", static_cast<double>(criticalUes));
-    set.add("cluster.jobs_degraded",
-            static_cast<double>(jobsDegraded));
-    set.add("cluster.pages_degraded",
-            static_cast<double>(pagesDegraded));
-    set.add("cluster.data_quality_penalty", dataQualityPenalty);
-    set.add("cluster.copy_node_seconds", copyNodeSeconds);
-    set.add("cluster.dmr_copy_node_seconds", dmrCopyNodeSeconds);
-    return set;
-}
-
 void
 saveMetrics(snapshot::Serializer &out, const ClusterMetrics &m)
 {

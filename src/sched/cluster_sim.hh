@@ -45,7 +45,6 @@
 #include "telemetry/telemetry.hh"
 #include "traces/job_trace.hh"
 #include "util/rng.hh"
-#include "util/stats.hh"
 #include "util/status.hh"
 #include "workloads/criticality.hh"
 
@@ -216,9 +215,6 @@ struct ClusterMetrics
      *  placements; 1 - copyNodeSeconds / dmrCopyNodeSeconds is the
      *  capacity the placement reclaimed from the copy tax. */
     double dmrCopyNodeSeconds = 0.0;
-
-    /** Export into the shared counter vocabulary. */
-    util::CounterSet counters() const;
 };
 
 /** Serialize/deserialize a metrics block (snapshot payloads). */

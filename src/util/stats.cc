@@ -169,55 +169,6 @@ inverseNormalCdf(double p)
            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
 }
 
-void
-CounterSet::add(const std::string &name, double delta)
-{
-    values_[name] += delta;
-}
-
-void
-CounterSet::set(const std::string &name, double value)
-{
-    values_[name] = value;
-}
-
-double
-CounterSet::get(const std::string &name) const
-{
-    const auto it = values_.find(name);
-    return it == values_.end() ? 0.0 : it->second;
-}
-
-void
-CounterSet::merge(const CounterSet &other)
-{
-    for (const auto &[name, value] : other.values_)
-        values_[name] += value;
-}
-
-std::string
-CounterSet::toString() const
-{
-    std::size_t width = 0;
-    for (const auto &[name, value] : values_)
-        width = std::max(width, name.size());
-
-    std::ostringstream out;
-    for (const auto &[name, value] : values_) {
-        out << name;
-        for (std::size_t i = name.size(); i < width + 2; ++i)
-            out << ' ';
-        // Counters are semantically integers unless a layer reports a
-        // fractional quantity (e.g. overhead seconds).
-        if (value == std::floor(value) && std::abs(value) < 1e15) {
-            out << static_cast<long long>(value) << '\n';
-        } else {
-            out << value << '\n';
-        }
-    }
-    return out.str();
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), binWidth_((hi - lo) / static_cast<double>(bins)),
       counts_(bins, 0.0)

@@ -9,7 +9,6 @@
 #define HDMR_UTIL_STATS_HH
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -75,40 +74,6 @@ double percentile(std::vector<double> xs, double p);
  * relative error < 1.2e-9).  Used for confidence intervals.
  */
 double inverseNormalCdf(double p);
-
-/**
- * Named-counter accumulator used to plumb event accounting (injected /
- * detected / corrected / uncorrected errors, demotions, requeues,
- * checkpoint overhead, ...) from every simulation layer up to the
- * campaign runners without each layer inventing its own struct.
- * Counters are created on first touch and keyed by name; merging is
- * element-wise addition, so per-channel / per-node sets roll up into
- * cluster-wide totals.
- */
-class CounterSet
-{
-  public:
-    /** Add `delta` (default 1) to the named counter. */
-    void add(const std::string &name, double delta = 1.0);
-
-    /** Overwrite the named counter. */
-    void set(const std::string &name, double value);
-
-    /** Current value; 0 for a counter never touched. */
-    double get(const std::string &name) const;
-
-    /** Element-wise addition of another set into this one. */
-    void merge(const CounterSet &other);
-
-    bool empty() const { return values_.empty(); }
-    const std::map<std::string, double> &values() const { return values_; }
-
-    /** Render as aligned "name  value" lines (sorted by name). */
-    std::string toString() const;
-
-  private:
-    std::map<std::string, double> values_;
-};
 
 /**
  * Fixed-width-bin histogram over [lo, hi); samples outside the range

@@ -286,8 +286,9 @@ ShadowMemoryOracle::classify(std::uint64_t address,
     }
 
     // Step 2: detected -> walk the recovery ladder.  Rung 0 is the
-    // mandatory spec re-read; rungs 1..retryAttempts are the bounded
-    // retries core::ModeController performs before escalating to UE.
+    // mandatory spec re-read (the only rung core::ModeController has);
+    // rungs 1..retryAttempts are bounded retries this audit assumes
+    // before escalating to UE.
     bool miscorrected = false;
     for (unsigned attempt = 0; attempt <= config_.retryAttempts;
          ++attempt) {

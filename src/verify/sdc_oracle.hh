@@ -17,9 +17,11 @@
  *   2. inject the drawn error pattern with ecc::error_inject, or a
  *      sampled wide-error vector from verify::EscapeSampler;
  *   3. run the detection-only decode the unsafe-fast path uses;
- *   4. on detection, model the hardened recovery ladder (re-read the
- *      original at spec, bounded retries, UE escalation) against the
- *      shadow copy;
+ *   4. on detection, model a recovery ladder (re-read the original at
+ *      spec, bounded retries, UE escalation) against the shadow copy.
+ *      The retries are this audit's own assumption:
+ *      core::ModeController escalates to a UE as soon as its one
+ *      spec re-read fails;
  *   5. compare whatever the stack would have delivered against the
  *      ground truth.
  *

@@ -15,8 +15,6 @@
 #include "core/replication.hh"
 #include "dram/controller.hh"
 #include "sim/event_queue.hh"
-#include "snapshot/serializer.hh"
-#include "util/status.hh"
 
 namespace
 {
@@ -329,390 +327,6 @@ TEST(ModeController, EpochTripFallsBackToSpec)
     // Replication and fast operation resume at the next epoch.
     events.run(30 * util::kTicksPerMs);
     EXPECT_TRUE(mode.fastOperationEnabled());
-}
-
-// --------------------------------------------------------------------
-// Recovery ladder
-// --------------------------------------------------------------------
-
-struct LadderRig
-{
-    sim::EventQueue events;
-    ModeControllerConfig config;
-    dram::MemoryController controller;
-    ModeController mode;
-    unsigned ueDeliveries = 0;
-
-    explicit LadderRig(const ModeControllerConfig &mc_config)
-        : config(mc_config),
-          controller(events,
-                     ModeController::buildControllerConfig(mc_config, 1)),
-          mode(events, controller, nullptr,
-               [](std::uint64_t) { return true; }, mc_config)
-    {
-        mode.setUncorrectableHandler([this] { ++ueDeliveries; });
-    }
-};
-
-TEST(RecoveryLadder, DisabledLadderEscalatesImmediately)
-{
-    // retryAttempts = 0 is the seed behaviour: the first failed
-    // recovery becomes an uncorrectable error with no retry rungs.
-    LadderRig rig(hdmrConfig());
-    rig.mode.injectUncorrectable();
-    EXPECT_EQ(rig.mode.stats().uncorrectedErrors, 1u);
-    EXPECT_EQ(rig.mode.stats().ladderRetries, 0u);
-    EXPECT_EQ(rig.mode.stats().ladderRecoveries, 0u);
-    EXPECT_EQ(rig.ueDeliveries, 1u);
-}
-
-TEST(RecoveryLadder, RetryAvertsEscalation)
-{
-    auto config = hdmrConfig();
-    config.ladder.retryAttempts = 3;
-    config.ladder.retryFailureProbability = 0.0; // retries always work
-    LadderRig rig(config);
-
-    rig.mode.injectUncorrectable();
-    // The first rung recovered: no UE surfaced, one retry walked.
-    EXPECT_EQ(rig.mode.stats().uncorrectedErrors, 0u);
-    EXPECT_EQ(rig.mode.stats().ladderRetries, 1u);
-    EXPECT_EQ(rig.mode.stats().ladderRecoveries, 1u);
-    EXPECT_EQ(rig.ueDeliveries, 0u);
-
-    // The retry re-read the original at specification, so the channel
-    // is held at spec for the backoff window and resumes after it.
-    EXPECT_FALSE(rig.mode.fastOperationEnabled());
-    rig.events.run();
-    EXPECT_TRUE(rig.mode.fastOperationEnabled());
-}
-
-TEST(RecoveryLadder, ExhaustedLadderEscalatesToUe)
-{
-    auto config = hdmrConfig();
-    config.ladder.retryAttempts = 2;
-    config.ladder.retryFailureProbability = 1.0; // retries never work
-    LadderRig rig(config);
-
-    rig.mode.injectUncorrectable();
-    EXPECT_EQ(rig.mode.stats().ladderRetries, 2u);
-    EXPECT_EQ(rig.mode.stats().ladderRecoveries, 0u);
-    EXPECT_EQ(rig.mode.stats().uncorrectedErrors, 1u);
-    EXPECT_EQ(rig.ueDeliveries, 1u);
-    // Exponential backoff: rung 1 pays the base window, rung 2 twice
-    // that (default factor 2).
-    EXPECT_EQ(rig.mode.stats().ladderRetryTicks,
-              config.ladder.retryBackoff * 3);
-}
-
-TEST(RecoveryLadder, ErrorBudgetDemotesChannel)
-{
-    auto config = hdmrConfig();
-    config.ladder.errorBudgetWindow = util::kTicksPerSec;
-    config.ladder.errorBudgetLimit = 4;
-    LadderRig rig(config);
-    const unsigned fast_before = rig.mode.fastRateMts();
-
-    rig.mode.injectDetectedErrors(10);
-    EXPECT_EQ(rig.mode.stats().budgetDemotions, 1u);
-    EXPECT_EQ(rig.mode.stats().demotions, 1u);
-    EXPECT_EQ(rig.mode.fastRateMts(),
-              fast_before - config.quarantine.demoteStepMts);
-}
-
-TEST(RecoveryLadder, SlidingWindowForgetsOldErrors)
-{
-    auto config = hdmrConfig();
-    config.ladder.errorBudgetWindow = 10 * util::kTicksPerMs;
-    config.ladder.errorBudgetLimit = 4;
-    LadderRig rig(config);
-
-    // Budget-sized batch now: no demotion.
-    rig.mode.injectDetectedErrors(4);
-    EXPECT_EQ(rig.mode.stats().budgetDemotions, 0u);
-
-    // Let the window slide past those arrivals; the same batch again
-    // still fits the budget because the old errors have aged out.
-    sim::CallbackEvent advance([] {});
-    rig.events.schedule(&advance, 50 * util::kTicksPerMs);
-    rig.events.run();
-    rig.mode.injectDetectedErrors(4);
-    EXPECT_EQ(rig.mode.stats().budgetDemotions, 0u);
-
-    // One more inside the fresh window blows the budget.
-    rig.mode.injectDetectedErrors(1);
-    EXPECT_EQ(rig.mode.stats().budgetDemotions, 1u);
-}
-
-TEST(RecoveryLadder, StateRoundTripsThroughSnapshot)
-{
-    auto config = hdmrConfig();
-    config.ladder.retryAttempts = 2;
-    config.ladder.retryFailureProbability = 0.5;
-    config.ladder.errorBudgetWindow = util::kTicksPerSec;
-    config.ladder.errorBudgetLimit = 100;
-    LadderRig source(config);
-    source.mode.injectDetectedErrors(5); // while still running fast
-    for (int i = 0; i < 8; ++i)
-        source.mode.injectUncorrectable();
-
-    snapshot::Serializer out;
-    source.mode.saveState(out);
-
-    LadderRig target(config);
-    snapshot::Deserializer in(out.data());
-    ASSERT_TRUE(target.mode.restoreState(in));
-    ASSERT_TRUE(in.ok());
-    EXPECT_EQ(in.remaining(), 0u);
-
-    // Restored ladder statistics match, and the private retry stream
-    // resumes where the source left off: the next injection produces
-    // identical outcomes on both controllers.
-    EXPECT_EQ(target.mode.stats().ladderRetries,
-              source.mode.stats().ladderRetries);
-    EXPECT_EQ(target.mode.stats().ladderRecoveries,
-              source.mode.stats().ladderRecoveries);
-    EXPECT_EQ(target.mode.stats().uncorrectedErrors,
-              source.mode.stats().uncorrectedErrors);
-    for (int i = 0; i < 8; ++i) {
-        source.mode.injectUncorrectable();
-        target.mode.injectUncorrectable();
-    }
-    EXPECT_EQ(target.mode.stats().ladderRecoveries,
-              source.mode.stats().ladderRecoveries);
-    EXPECT_EQ(target.mode.stats().uncorrectedErrors,
-              source.mode.stats().uncorrectedErrors);
-}
-
-// --------------------------------------------------------------------
-// Online guard-band recalibration
-// --------------------------------------------------------------------
-
-ModeControllerConfig
-recalConfig()
-{
-    auto config = hdmrConfig();
-    config.recalibration.windowTicks = util::kTicksPerMs;
-    config.recalibration.targetErrorsPerWindow = 4.0;
-    config.recalibration.demoteBand = 2.0;   // demote evidence: > 8
-    config.recalibration.promoteBand = 0.25; // promote evidence: < 1
-    config.recalibration.hysteresisWindows = 2;
-    return config;
-}
-
-TEST(Recalibration, ValidateRejectsBadPolicy)
-{
-    const auto expect_invalid = [](const util::Status &status,
-                                   const char *field) {
-        EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
-            << status.message();
-        EXPECT_NE(status.message().find(field), std::string::npos)
-            << status.message();
-    };
-    RecalibrationPolicy policy;
-    policy.targetErrorsPerWindow = -1.0;
-    expect_invalid(policy.validate(), "targetErrorsPerWindow");
-    policy = RecalibrationPolicy{};
-    policy.demoteBand = 0.0;
-    expect_invalid(policy.validate(), "demoteBand");
-    policy = RecalibrationPolicy{};
-    policy.promoteBand = policy.demoteBand; // dead band collapsed
-    expect_invalid(policy.validate(), "promoteBand");
-    policy = RecalibrationPolicy{};
-    policy.hysteresisWindows = 0;
-    expect_invalid(policy.validate(), "hysteresisWindows");
-    policy = RecalibrationPolicy{};
-    policy.probeFailureProbability = 1.5;
-    expect_invalid(policy.validate(), "probeFailureProbability");
-}
-
-TEST(Recalibration, DisabledByDefaultMatchesSeed)
-{
-    // windowTicks = 0 schedules nothing: no windows, no demotions, and
-    // an event queue that still drains to empty.
-    LadderRig rig(hdmrConfig());
-    rig.mode.injectDetectedErrors(100);
-    rig.events.run();
-    EXPECT_EQ(rig.mode.stats().recalWindows, 0u);
-    EXPECT_EQ(rig.mode.stats().recalDemotions, 0u);
-    EXPECT_EQ(rig.mode.fastRateMts(), rig.mode.qualifiedFastRateMts());
-}
-
-TEST(Recalibration, OscillationExactlyAtThresholdDoesNotFlap)
-{
-    // The satellite case: a rate sitting *exactly* on the demote
-    // threshold every window.  The comparisons are strict, so at-
-    // threshold windows are in-band and the operating point must not
-    // move at all.
-    LadderRig rig(recalConfig());
-    const Tick w = rig.config.recalibration.windowTicks;
-    for (int k = 0; k < 8; ++k) {
-        rig.events.run(k * w + w / 2);
-        rig.mode.injectDetectedErrors(8); // observed == target * band
-    }
-    rig.events.run(8 * w + w / 4);
-    EXPECT_GE(rig.mode.stats().recalWindows, 8u);
-    EXPECT_EQ(rig.mode.stats().recalDemotions +
-                  rig.mode.stats().recalPromotions,
-              0u);
-    EXPECT_EQ(rig.mode.fastRateMts(), rig.mode.qualifiedFastRateMts());
-}
-
-TEST(Recalibration, AlternatingWindowsNeverMeetHysteresis)
-{
-    // One window above the band, the next quiet, repeatedly: the
-    // hysteresis depth of 2 is never met, so the transition count is
-    // bounded at zero however long the oscillation runs.
-    LadderRig rig(recalConfig());
-    const Tick w = rig.config.recalibration.windowTicks;
-    for (int k = 0; k < 12; ++k) {
-        rig.events.run(k * w + w / 2);
-        rig.mode.injectDetectedErrors(k % 2 == 0 ? 9 : 0);
-    }
-    rig.events.run(12 * w + w / 4);
-    EXPECT_GE(rig.mode.stats().recalWindows, 12u);
-    EXPECT_EQ(rig.mode.stats().recalDemotions +
-                  rig.mode.stats().recalPromotions,
-              0u);
-    EXPECT_EQ(rig.mode.fastRateMts(), rig.mode.qualifiedFastRateMts());
-}
-
-TEST(Recalibration, SustainedDriftDemotesThenQuietEarnsPromotion)
-{
-    LadderRig rig(recalConfig());
-    const Tick w = rig.config.recalibration.windowTicks;
-    const unsigned qualified = rig.mode.qualifiedFastRateMts();
-    const unsigned step = rig.config.quarantine.demoteStepMts;
-
-    // Two consecutive windows above the band: one demotion, exactly at
-    // the hysteresis depth.
-    for (int k = 0; k < 2; ++k) {
-        rig.events.run(k * w + w / 2);
-        rig.mode.injectDetectedErrors(9);
-    }
-    rig.events.run(2 * w + w / 4);
-    EXPECT_EQ(rig.mode.stats().recalDemotions, 1u);
-    EXPECT_EQ(rig.mode.fastRateMts(), qualified - step);
-
-    // Two quiet windows below the promote band: a re-qualification
-    // probe runs (paying its downtime) and promotes the step back.
-    rig.events.run(4 * w + w / 4);
-    EXPECT_EQ(rig.mode.stats().recalPromotions, 1u);
-    EXPECT_EQ(rig.mode.stats().probeTicks,
-              rig.config.recalibration.probeDowntime);
-    EXPECT_EQ(rig.mode.fastRateMts(), qualified);
-
-    // Further quiet windows at the qualified rate change nothing: the
-    // qualified rate is the promotion ceiling.
-    rig.events.run(8 * w + w / 4);
-    EXPECT_EQ(rig.mode.stats().recalPromotions, 1u);
-    EXPECT_EQ(rig.mode.fastRateMts(), qualified);
-}
-
-TEST(Recalibration, FailedProbeBlocksPromotion)
-{
-    auto config = recalConfig();
-    config.recalibration.probeFailureProbability = 1.0;
-    LadderRig rig(config);
-    const Tick w = config.recalibration.windowTicks;
-    const unsigned step = config.quarantine.demoteStepMts;
-
-    rig.mode.demote(); // external demotion; channel now below qualified
-    rig.events.run(6 * w + w / 4); // quiet windows: probes keep failing
-    EXPECT_GE(rig.mode.stats().recalProbeFailures, 1u);
-    EXPECT_EQ(rig.mode.stats().recalPromotions, 0u);
-    EXPECT_EQ(rig.mode.fastRateMts(),
-              rig.mode.qualifiedFastRateMts() - step);
-}
-
-TEST(Recalibration, EscalatesWhenDriftOutrunsRecalibration)
-{
-    auto config = recalConfig();
-    config.recalibration.hysteresisWindows = 1;
-    config.recalibration.escalateAfterDemotions = 2;
-    LadderRig rig(config);
-    const Tick w = config.recalibration.windowTicks;
-
-    // Persistently storming error rate: every window demotes, and the
-    // second consecutive demotion judges drift to be outrunning the
-    // loop - the channel is handed to the quarantine ladder for good.
-    for (int k = 0; k < 4; ++k) {
-        rig.events.run(k * w + w / 2);
-        rig.mode.injectDetectedErrors(9);
-    }
-    rig.events.run(4 * w + w / 4);
-    EXPECT_EQ(rig.mode.stats().recalEscalations, 1u);
-    EXPECT_TRUE(rig.mode.quarantined());
-    EXPECT_EQ(rig.mode.stats().quarantines, 1u);
-    EXPECT_EQ(rig.mode.fastRateMts(),
-              rig.config.specSetting.dataRateMts);
-    EXPECT_FALSE(rig.mode.fastOperationEnabled());
-}
-
-TEST(Recalibration, StateSurvivesSnapshotBitIdentically)
-{
-    const auto config = recalConfig();
-    const Tick w = config.recalibration.windowTicks;
-    LadderRig source(config);
-
-    // Drive the source into the middle of a demote streak with a
-    // partially filled window: one above-band window behind it, three
-    // errors into the next.
-    source.events.run(w / 2);
-    source.mode.injectDetectedErrors(9);
-    source.events.run(w + w / 2);
-    source.mode.injectDetectedErrors(3);
-
-    snapshot::Serializer out;
-    source.mode.saveState(out);
-
-    // The target advances its clock to the same simulated time first
-    // (its pre-restore windows fire empty and are overwritten), so the
-    // restored controller re-derives the same next window boundary.
-    LadderRig target(config);
-    target.events.run(w + w / 2);
-    snapshot::Deserializer in(out.data());
-    ASSERT_TRUE(target.mode.restoreState(in));
-    ASSERT_TRUE(in.ok());
-    EXPECT_EQ(in.remaining(), 0u);
-
-    // Bit-identity at the restore point...
-    snapshot::Serializer source_bytes;
-    source.mode.saveState(source_bytes);
-    snapshot::Serializer target_bytes;
-    target.mode.saveState(target_bytes);
-    EXPECT_EQ(source_bytes.data(), target_bytes.data());
-
-    // ...and after both controllers live through the same future: the
-    // streak completes and both demote at the same window.
-    source.mode.injectDetectedErrors(6);
-    target.mode.injectDetectedErrors(6);
-    source.events.run(2 * w + w / 4);
-    target.events.run(2 * w + w / 4);
-    EXPECT_EQ(source.mode.stats().recalDemotions, 1u);
-    EXPECT_EQ(target.mode.stats().recalDemotions, 1u);
-    EXPECT_EQ(source.mode.fastRateMts(), target.mode.fastRateMts());
-
-    snapshot::Serializer source_final;
-    source.mode.saveState(source_final);
-    snapshot::Serializer target_final;
-    target.mode.saveState(target_final);
-    EXPECT_EQ(source_final.data(), target_final.data());
-}
-
-TEST(Recalibration, RestoreRejectsDifferentQualifiedRate)
-{
-    const auto config = recalConfig();
-    LadderRig source(config);
-    snapshot::Serializer out;
-    source.mode.saveState(out);
-
-    auto other = config;
-    other.fastSetting.dataRateMts -= 400; // qualified at a lower rate
-    LadderRig target(other);
-    snapshot::Deserializer in(out.data());
-    EXPECT_FALSE(target.mode.restoreState(in));
-    EXPECT_FALSE(in.ok());
 }
 
 } // namespace

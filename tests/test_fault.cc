@@ -150,10 +150,9 @@ TEST(FaultAccounting, MergeAndCounterExport)
     b.injected = 2;
     b.excursions = 4;
     a.merge(b);
-    const auto counters = a.counters();
-    EXPECT_EQ(counters.get("fault.injected"), 5.0);
-    EXPECT_EQ(counters.get("fault.uncorrectable"), 1.0);
-    EXPECT_EQ(counters.get("fault.excursions"), 4.0);
+    EXPECT_EQ(a.injected, 5u);
+    EXPECT_EQ(a.uncorrectable, 1u);
+    EXPECT_EQ(a.excursions, 4u);
 }
 
 // --------------------------------------------------------------------
@@ -180,8 +179,6 @@ TEST(NodeFaultInjector, DeliversEveryChannelScopedKind)
     core::ModeController mode(events, controller, nullptr,
                               [](std::uint64_t) { return true; },
                               mc_config);
-    int ue_seen = 0;
-    mode.setUncorrectableHandler([&ue_seen] { ++ue_seen; });
 
     std::vector<FaultEvent> schedule;
     schedule.push_back({1.0e-6, FaultKind::kTransientUncorrectable, 0});
@@ -199,7 +196,6 @@ TEST(NodeFaultInjector, DeliversEveryChannelScopedKind)
     injector.arm(schedule);
     events.run();
 
-    EXPECT_EQ(ue_seen, 1);
     EXPECT_EQ(mode.stats().uncorrectedErrors, 1u);
     EXPECT_EQ(mode.stats().corrections, 5u);
     EXPECT_EQ(mode.stats().marginDriftMts, 200u);
@@ -273,40 +269,6 @@ TEST(QuarantinePolicy, RepeatedRecoveriesDemoteDownToQuarantine)
     EXPECT_EQ(mode.stats().corrections, 0u);
 }
 
-TEST(QuarantinePolicy, ConsecutiveEpochTripsDemote)
-{
-    sim::EventQueue events;
-    auto mc_config = hdmrChannelConfig();
-    mc_config.epochConfig.mttSdcYears = 1.0e15; // tiny error budget
-    mc_config.epochConfig.epochLength = 10 * util::kTicksPerMs;
-    mc_config.quarantine.demoteAfterTripStreak = 2;
-    auto cc = core::ModeController::buildControllerConfig(mc_config, 1);
-    dram::MemoryController controller(events, cc);
-    core::ModeController mode(events, controller, nullptr,
-                              [](std::uint64_t) { return true; },
-                              mc_config);
-
-    // Epoch 0: burst trips the guard; a single trip never demotes.
-    mode.injectDetectedErrors(100);
-    EXPECT_EQ(mode.stats().epochTrips, 1u);
-    EXPECT_EQ(mode.stats().demotions, 0u);
-
-    // Epoch 1 trips too: two consecutive bad epochs demote one step.
-    sim::CallbackEvent second_burst(
-        [&mode] { mode.injectDetectedErrors(100); });
-    events.schedule(&second_burst, 11 * util::kTicksPerMs);
-    // Epoch 2 is clean; a trip in epoch 3 restarts the streak at one.
-    sim::CallbackEvent late_burst(
-        [&mode] { mode.injectDetectedErrors(100); });
-    events.schedule(&late_burst, 35 * util::kTicksPerMs);
-    events.run(50 * util::kTicksPerMs);
-
-    EXPECT_EQ(mode.stats().epochTrips, 3u);
-    EXPECT_EQ(mode.stats().demotions, 1u);
-    EXPECT_EQ(mode.fastRateMts(), 3800u);
-    EXPECT_FALSE(mode.quarantined());
-}
-
 TEST(UncorrectablePath, FailedRecoveryReadsSurfaceThroughController)
 {
     sim::EventQueue events;
@@ -318,8 +280,6 @@ TEST(UncorrectablePath, FailedRecoveryReadsSurfaceThroughController)
     core::ModeController mode(events, controller, nullptr,
                               [](std::uint64_t) { return true; },
                               mc_config);
-    int ue_seen = 0;
-    mode.setUncorrectableHandler([&ue_seen] { ++ue_seen; });
 
     for (int i = 0; i < 16; ++i) {
         dram::MemRequest request;
@@ -331,7 +291,6 @@ TEST(UncorrectablePath, FailedRecoveryReadsSurfaceThroughController)
     EXPECT_EQ(mode.stats().corrections, 16u);
     EXPECT_EQ(mode.stats().uncorrectedErrors, 16u);
     EXPECT_EQ(controller.stats().uncorrectableErrors, 16u);
-    EXPECT_EQ(ue_seen, 16);
 }
 
 // --------------------------------------------------------------------
@@ -405,14 +364,6 @@ TEST(ClusterFaults, EveryUeKillsAndRequeuesExactlyOnce)
     EXPECT_EQ(metrics.jobsCompleted, jobs.size());
     EXPECT_EQ(metrics.jobsDropped, 0u);
     EXPECT_GT(metrics.lostNodeSeconds, 0.0);
-
-    const auto counters = metrics.counters();
-    EXPECT_EQ(counters.get("cluster.ue_injected"),
-              static_cast<double>(metrics.ueInjected));
-    EXPECT_EQ(counters.get("cluster.job_kills"),
-              static_cast<double>(metrics.jobKills));
-    EXPECT_EQ(counters.get("cluster.requeues"),
-              static_cast<double>(metrics.requeues));
 }
 
 TEST(ClusterFaults, TurnaroundDegradesMonotonicallyWithIntensity)

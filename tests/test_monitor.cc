@@ -758,9 +758,9 @@ TEST(NodeMonitor, GuardBandPlumbsIntoTheModeControllers)
     EXPECT_EQ(mc->qualifiedFastRateMts(), 4000u);
     mc->promote();
     mc->promote();
-    EXPECT_EQ(mc->stats().recalPromotions, 2u);
+    EXPECT_EQ(mc->stats().promotions, 2u);
     mc->promote(); // at the qualified rate: no-op
-    EXPECT_EQ(mc->stats().recalPromotions, 2u);
+    EXPECT_EQ(mc->stats().promotions, 2u);
 }
 
 TEST(NodeMonitor, ZeroGuardBandHasNothingToPromote)
@@ -772,7 +772,7 @@ TEST(NodeMonitor, ZeroGuardBandHasNothingToPromote)
     node::NodeSystem sys(config);
     core::ModeController *mc = sys.modeControllers()[0];
     mc->promote();
-    EXPECT_EQ(mc->stats().recalPromotions, 0u);
+    EXPECT_EQ(mc->stats().promotions, 0u);
 }
 
 } // anonymous namespace
