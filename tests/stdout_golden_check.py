@@ -15,7 +15,7 @@ The checked-in files it guards:
     of monitor::defaultPhaseAdaptiveSchemes(), against
     `fig19_monitor --dump-schemes`;
   * tests/golden/<bench>.stdout, the stdout of paper-figure benches
-    and of `fig19_monitor --smoke`;
+    and of `fig19_monitor --smoke` and `sdc_audit --smoke`;
   * tests/golden/example_<name>.stdout, the stdout of the examples.
 
 Bench stdout is deterministic, so a difference is a change of results.
