@@ -415,8 +415,10 @@ defaultPhaseAdaptiveSchemes()
         "# sustained, aged, read-dominated hot regions - the phase\n"
         "# shape the fast setting was qualified under - re-earn the\n"
         "# band one step per fire.  The promote path is bounded by the\n"
-        "# qualified rate, and the epoch guard / recalibration\n"
-        "# machinery still owns demotion when errors say otherwise.\n"
+        "# qualified rate.  On errors the epoch guard suspends fast\n"
+        "# operation to the end of its epoch; a step is only given\n"
+        "# back by a demote scheme or by the quarantine policy's\n"
+        "# demoteAfterRecoveries, which is 0 (off) by default.\n"
         "#\n"
         "# prefer_reads_hot: while hot read-dominated regions exist\n"
         "# (the common compute-phase shape), defer the write side's\n"
