@@ -7,28 +7,47 @@
 namespace hdmr::ecc
 {
 
+namespace
+{
+
+/** Longest RS codeword over GF(256); bounds 2t for local buffers. */
+constexpr std::size_t kMaxSymbols = Gf256::kFieldSize - 1;
+
+} // namespace
+
 ReedSolomon::ReedSolomon(std::size_t data_symbols,
                          std::size_t parity_symbols)
     : k_(data_symbols), nParity_(parity_symbols)
 {
     hdmr_assert(nParity_ >= 2 && nParity_ % 2 == 0);
-    hdmr_assert(k_ + nParity_ <= 255,
+    hdmr_assert(k_ + nParity_ <= kMaxSymbols,
                 "RS codeword over GF(256) limited to 255 symbols");
 
     // g(x) = prod_{i=1..2t} (x - alpha^i), built up incrementally.
-    generator_ = {1};
+    std::vector<GfElem> generator = {1};
     for (std::size_t i = 1; i <= nParity_; ++i) {
         const GfElem root = Gf256::expAlpha(static_cast<int>(i));
-        std::vector<GfElem> next(generator_.size() + 1, 0);
-        for (std::size_t j = 0; j < generator_.size(); ++j) {
-            next[j] = Gf256::add(next[j], Gf256::mul(generator_[j], root));
-            next[j + 1] = Gf256::add(next[j + 1], generator_[j]);
+        std::vector<GfElem> next(generator.size() + 1, 0);
+        for (std::size_t j = 0; j < generator.size(); ++j) {
+            next[j] = Gf256::add(next[j], Gf256::mul(generator[j], root));
+            next[j + 1] = Gf256::add(next[j + 1], generator[j]);
         }
-        generator_ = std::move(next);
+        generator = std::move(next);
     }
-    // generator_[d] is the coefficient of x^d; degree 2t, monic.
-    std::reverse(generator_.begin(), generator_.end());
-    // Now generator_[0] is the x^{2t} coefficient (1), descending order.
+    // generator[d] is the coefficient of x^d; degree 2t, monic.
+    std::reverse(generator.begin(), generator.end());
+    // Now generator[0] is the x^{2t} coefficient (1), descending order.
+
+    genRows_.resize(nParity_);
+    rootRows_.resize(nParity_);
+    for (std::size_t i = 0; i < nParity_; ++i) {
+        const GfElem root = Gf256::expAlpha(static_cast<int>(i + 1));
+        for (unsigned x = 0; x < Gf256::kFieldSize; ++x) {
+            const auto elem = static_cast<GfElem>(x);
+            genRows_[i][x] = Gf256::mul(elem, generator[i + 1]);
+            rootRows_[i][x] = Gf256::mul(elem, root);
+        }
+    }
 }
 
 std::vector<GfElem>
@@ -38,42 +57,52 @@ ReedSolomon::encode(const std::vector<GfElem> &data) const
                 k_, data.size());
 
     // Polynomial long division of D(x) * x^{2t} by g(x); the remainder
-    // is the parity.  Classic LFSR formulation.
-    std::vector<GfElem> remainder(nParity_, 0);
+    // is the parity.  Classic LFSR formulation: each step shifts the
+    // remainder left by one symbol and adds the feedback times g(x).
+    GfElem remainder[kMaxSymbols] = {};
     for (GfElem symbol : data) {
-        const GfElem feedback = Gf256::add(symbol, remainder.front());
-        // Shift left by one symbol.
+        const GfElem feedback = Gf256::add(symbol, remainder[0]);
         for (std::size_t i = 0; i + 1 < nParity_; ++i) {
-            remainder[i] = Gf256::add(
-                remainder[i + 1],
-                Gf256::mul(feedback, generator_[i + 1]));
+            remainder[i] =
+                Gf256::add(remainder[i + 1], genRows_[i][feedback]);
         }
-        remainder[nParity_ - 1] =
-            Gf256::mul(feedback, generator_[nParity_]);
+        remainder[nParity_ - 1] = genRows_[nParity_ - 1][feedback];
     }
-    return remainder;
+    return std::vector<GfElem>(remainder, remainder + nParity_);
+}
+
+void
+ReedSolomon::computeSyndromes(const GfElem *codeword, GfElem *out) const
+{
+    // s_j = c(alpha^{j+1}) by Horner's rule, all 2t roots in one pass
+    // over the codeword.  The accumulators live in a local array: kept
+    // in the output they would be stored and reloaded every step.
+    GfElem acc[kMaxSymbols] = {};
+    const std::size_t n = codewordSymbols();
+    for (std::size_t i = 0; i < n; ++i) {
+        const GfElem symbol = codeword[i];
+        for (std::size_t j = 0; j < nParity_; ++j)
+            acc[j] = Gf256::add(rootRows_[j][acc[j]], symbol);
+    }
+    std::copy(acc, acc + nParity_, out);
 }
 
 std::vector<GfElem>
 ReedSolomon::syndromes(const std::vector<GfElem> &codeword) const
 {
     hdmr_assert(codeword.size() == codewordSymbols());
-    std::vector<GfElem> s(nParity_, 0);
-    for (std::size_t j = 0; j < nParity_; ++j) {
-        const GfElem root = Gf256::expAlpha(static_cast<int>(j + 1));
-        GfElem acc = 0;
-        for (GfElem symbol : codeword)
-            acc = Gf256::add(Gf256::mul(acc, root), symbol);
-        s[j] = acc;
-    }
+    std::vector<GfElem> s(nParity_);
+    computeSyndromes(codeword.data(), s.data());
     return s;
 }
 
 bool
 ReedSolomon::detect(const std::vector<GfElem> &codeword) const
 {
-    const auto s = syndromes(codeword);
-    return std::any_of(s.begin(), s.end(),
+    hdmr_assert(codeword.size() == codewordSymbols());
+    GfElem s[kMaxSymbols] = {};
+    computeSyndromes(codeword.data(), s);
+    return std::any_of(s, s + nParity_,
                        [](GfElem v) { return v != 0; });
 }
 

@@ -10,11 +10,17 @@
  *
  * Decoder: syndrome computation, Berlekamp-Massey locator synthesis,
  * Chien search, Forney magnitudes.  First consecutive root is alpha^1.
+ *
+ * The encoder and the syndromes only ever multiply by the 2t generator
+ * coefficients and the 2t roots, so the constructor tabulates each of
+ * those constants' products as one 256-entry row (4 KiB for 8 parity
+ * symbols) and every such multiply is one load.
  */
 
 #ifndef HDMR_ECC_REED_SOLOMON_HH
 #define HDMR_ECC_REED_SOLOMON_HH
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -102,9 +108,21 @@ class ReedSolomon
     }
 
   private:
+    /** row[x] = x * c for one fixed constant c, so a multiply by c
+     *  is a single table load. */
+    using ProductRow = std::array<GfElem, Gf256::kFieldSize>;
+
+    /** Horner's rule for all 2t roots in one pass; writes 2t
+     *  syndromes to `out`. */
+    void computeSyndromes(const GfElem *codeword, GfElem *out) const;
+
     std::size_t k_;
     std::size_t nParity_;
-    std::vector<GfElem> generator_; // generator polynomial coefficients
+    /** genRows_[i]: products with generator coefficient i + 1 (of
+     *  x^{2t-1-i}); the monic leading coefficient needs no row. */
+    std::vector<ProductRow> genRows_;
+    /** rootRows_[j]: products with the syndrome root alpha^{j+1}. */
+    std::vector<ProductRow> rootRows_;
 };
 
 } // namespace hdmr::ecc

@@ -218,7 +218,7 @@ ShadowMemoryOracle::payloadFor(std::uint64_t address) const
 
 bool
 ShadowMemoryOracle::recoverOnce(std::uint64_t address,
-                                const ecc::Block &truth,
+                                const ecc::CodedBlock &reference,
                                 bool &miscorrected, util::Rng &rng)
 {
     // Model one rung of the ladder: re-read the original copy at spec
@@ -229,7 +229,7 @@ ShadowMemoryOracle::recoverOnce(std::uint64_t address,
     // half are module-side bursts past the 4-symbol correction bound
     // (an intermittently weak rank), which is what forces the next
     // rung of the ladder.
-    ecc::CodedBlock original = codec_.encode(truth, address);
+    ecc::CodedBlock original = reference;
     if (config_.originalErrorProbability > 0.0 &&
         rng.bernoulli(config_.originalErrorProbability)) {
         if (rng.bernoulli(0.5)) {
@@ -247,7 +247,7 @@ ShadowMemoryOracle::recoverOnce(std::uint64_t address,
         codec_.decodeCorrecting(original, address);
     if (!result.dataTrustworthy())
         return false;
-    if (original.data != truth) {
+    if (original.data != reference.data) {
         // The decoder claimed success but delivered the wrong block: a
         // miscorrection.  Only the oracle's ground truth can see this.
         miscorrected = true;
@@ -258,11 +258,11 @@ ShadowMemoryOracle::recoverOnce(std::uint64_t address,
 
 ShadowMemoryOracle::Outcome
 ShadowMemoryOracle::classify(std::uint64_t address,
-                             ecc::CodedBlock corrupted, double weight,
-                             OracleCounters &counters, util::Rng &rng)
+                             const ecc::CodedBlock &reference,
+                             const ecc::CodedBlock &corrupted,
+                             double weight, OracleCounters &counters,
+                             util::Rng &rng)
 {
-    const ecc::Block truth = payloadFor(address);
-    const ecc::CodedBlock reference = codec_.encode(truth, address);
     const bool differs = corrupted.data != reference.data ||
                          corrupted.parity != reference.parity;
 
@@ -296,7 +296,7 @@ ShadowMemoryOracle::classify(std::uint64_t address,
             ++counters.retryAttempts;
             outcome.attemptsUsed = attempt;
         }
-        if (recoverOnce(address, truth, miscorrected, rng)) {
+        if (recoverOnce(address, reference, miscorrected, rng)) {
             outcome.cls = AccessClass::kDetectedRecovered;
             counters.count(outcome.cls, weight);
             if (attempt > 0)
@@ -330,12 +330,13 @@ ShadowMemoryOracle::classifyPattern(std::uint64_t address,
                                     OracleCounters &counters,
                                     util::Rng &rng)
 {
-    const ecc::Block truth = payloadFor(address);
-    ecc::CodedBlock coded = codec_.encode(truth, address);
+    const ecc::CodedBlock reference =
+        codec_.encode(payloadFor(address), address);
+    ecc::CodedBlock coded = reference;
     ecc::injectPattern(coded, pattern, rng);
     if (pattern == ecc::ErrorPattern::kWideBlock)
         ++counters.wideDraws;
-    return classify(address, coded, weight, counters, rng);
+    return classify(address, reference, coded, weight, counters, rng);
 }
 
 ShadowMemoryOracle::Outcome
@@ -344,8 +345,9 @@ ShadowMemoryOracle::classifyWide(std::uint64_t address,
                                  double weight, OracleCounters &counters,
                                  util::Rng &rng)
 {
-    const ecc::Block truth = payloadFor(address);
-    ecc::CodedBlock coded = codec_.encode(truth, address);
+    const ecc::CodedBlock reference =
+        codec_.encode(payloadFor(address), address);
+    ecc::CodedBlock coded = reference;
     draw.applyTo(coded);
 
     ++counters.wideDraws;
@@ -353,7 +355,8 @@ ShadowMemoryOracle::classifyWide(std::uint64_t address,
         ++counters.nullSpaceDraws;
     const double total_weight = weight * draw.importanceWeight;
     counters.wideWeight += total_weight;
-    return classify(address, coded, total_weight, counters, rng);
+    return classify(address, reference, coded, total_weight, counters,
+                    rng);
 }
 
 } // namespace hdmr::verify

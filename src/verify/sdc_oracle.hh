@@ -196,12 +196,17 @@ class ShadowMemoryOracle
     bool pageTolerant(std::uint64_t address) const;
 
   private:
-    Outcome classify(std::uint64_t address, ecc::CodedBlock corrupted,
-                     double weight, OracleCounters &counters,
-                     util::Rng &rng);
+    /** `reference` is the clean encoded ground truth of `address`;
+     *  `corrupted` is that block with the access's error applied. */
+    Outcome classify(std::uint64_t address,
+                     const ecc::CodedBlock &reference,
+                     const ecc::CodedBlock &corrupted, double weight,
+                     OracleCounters &counters, util::Rng &rng);
 
-    /** One recovery-ladder rung: spec re-read of the original. */
-    bool recoverOnce(std::uint64_t address, const ecc::Block &truth,
+    /** One recovery-ladder rung: spec re-read of the original, whose
+     *  stored contents are the clean `reference`. */
+    bool recoverOnce(std::uint64_t address,
+                     const ecc::CodedBlock &reference,
                      bool &miscorrected, util::Rng &rng);
 
     const ecc::BambooCodec &codec_;

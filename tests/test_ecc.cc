@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the ECC library: GF(256) field axioms, Reed-Solomon
+ * Tests for the ECC library: GF(256) field axioms and the table-driven
+ * multiply against a shift-and-xor reference, Reed-Solomon
  * round-trip/correction/detection properties, the Bamboo block codec
  * with address folding, and detection-only semantics that Hetero-DMR
  * relies on.  Property-style sweeps use parameterized gtest.
@@ -14,6 +15,7 @@
 #include "ecc/error_inject.hh"
 #include "ecc/gf256.hh"
 #include "ecc/reed_solomon.hh"
+#include "rs_reference.hh"
 #include "util/rng.hh"
 
 namespace
@@ -65,6 +67,30 @@ TEST(Gf256, DistributesOverAddition)
         const auto c = static_cast<GfElem>(rng.uniformInt(0, 255));
         EXPECT_EQ(Gf256::mul(a, Gf256::add(b, c)),
                   Gf256::add(Gf256::mul(a, b), Gf256::mul(a, c)));
+    }
+}
+
+TEST(Gf256, MulMatchesShiftAndXorForEveryPair)
+{
+    for (unsigned a = 0; a < 256; ++a) {
+        for (unsigned b = 0; b < 256; ++b) {
+            const auto x = static_cast<GfElem>(a);
+            const auto y = static_cast<GfElem>(b);
+            ASSERT_EQ(Gf256::mul(x, y), hdmr::test::referenceMul(x, y))
+                << a << " * " << b;
+        }
+    }
+}
+
+TEST(Gf256, DivUndoesMulForEveryNonZeroDivisor)
+{
+    for (unsigned a = 0; a < 256; ++a) {
+        for (unsigned b = 1; b < 256; ++b) {
+            const auto x = static_cast<GfElem>(a);
+            const auto y = static_cast<GfElem>(b);
+            ASSERT_EQ(Gf256::div(Gf256::mul(x, y), y), x)
+                << a << " * " << b << " / " << b;
+        }
     }
 }
 

@@ -14,6 +14,7 @@
 #include "dram/controller.hh"
 #include "ecc/reed_solomon.hh"
 #include "margin/monte_carlo.hh"
+#include "rs_reference.hh"
 #include "util/rng.hh"
 #include "workloads/hpc_workloads.hh"
 
@@ -33,11 +34,12 @@ class RsGeometry
 
 TEST_P(RsGeometry, RoundTripAndCorrectionCapability)
 {
+    // Parity, and the syndromes of each corrupted word, must also equal
+    // the per-multiply reference's (rs_reference.hh).
     const auto [k, parity] = GetParam();
-    ecc::ReedSolomon rs(static_cast<std::size_t>(k),
-                        static_cast<std::size_t>(parity));
-    EXPECT_EQ(rs.correctionCapability(),
-              static_cast<std::size_t>(parity) / 2);
+    const auto two_t = static_cast<std::size_t>(parity);
+    ecc::ReedSolomon rs(static_cast<std::size_t>(k), two_t);
+    EXPECT_EQ(rs.correctionCapability(), two_t / 2);
 
     util::Rng rng(static_cast<std::uint64_t>(k * 131 + parity));
     for (int trial = 0; trial < 25; ++trial) {
@@ -46,6 +48,7 @@ TEST_P(RsGeometry, RoundTripAndCorrectionCapability)
             symbol = static_cast<ecc::GfElem>(rng.uniformInt(0, 255));
         auto codeword = message;
         const auto p = rs.encode(message);
+        ASSERT_EQ(p, test::referenceEncode(message, two_t));
         codeword.insert(codeword.end(), p.begin(), p.end());
         EXPECT_FALSE(rs.detect(codeword));
 
@@ -60,18 +63,22 @@ TEST_P(RsGeometry, RoundTripAndCorrectionCapability)
             bad[pos] ^= static_cast<ecc::GfElem>(
                 rng.uniformInt(1, 255));
         }
+        EXPECT_EQ(rs.syndromes(bad), test::referenceSyndromes(bad, two_t));
         const auto result = rs.correct(bad);
         EXPECT_EQ(result.status, ecc::DecodeStatus::kCorrected);
         EXPECT_EQ(bad, codeword);
     }
 }
 
+// Bamboo's RS(80,72) is the (72, 8) case: 64 data and 8 folded-address
+// symbols under 8 parity symbols.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, RsGeometry,
     ::testing::Values(std::make_tuple(16, 4), std::make_tuple(32, 8),
                       std::make_tuple(64, 8),
                       std::make_tuple(128, 16),
-                      std::make_tuple(200, 32)));
+                      std::make_tuple(200, 32),
+                      std::make_tuple(72, 8)));
 
 // --------------------------------------------------------------------
 // DRAM data-rate sweep
