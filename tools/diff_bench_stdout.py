@@ -21,7 +21,9 @@ the four deterministic --smoke runs (advisor_soak's counts and
 latencies depend on timing, so it is never diffed).  Without it the
 list adds the grid figures (fig05, fig12-16, each from an empty
 results/ cache), fig17, fig18_resilience, and the full fig18_drift,
-ablation_heterodmr, ablation_hetreliability and fig19_monitor runs.
+ablation_heterodmr, ablation_hetreliability, fig19_monitor and
+sdc_audit runs (the last is the only one that prints the projected
+MTT-SDC of the default fleet).
 """
 
 import difflib
@@ -64,6 +66,7 @@ FULL = [
     ["ablation_heterodmr"],
     ["ablation_hetreliability"],
     ["fig19_monitor"],
+    ["sdc_audit"],
 ]
 
 
