@@ -14,8 +14,13 @@ The checked-in files it guards:
   * schemas/schemes/phase_adaptive.schemes, the operator-facing copy
     of monitor::defaultPhaseAdaptiveSchemes(), against
     `fig19_monitor --dump-schemes`;
-  * tests/golden/<bench>.stdout, the stdout of paper-figure benches
-    and of `fig19_monitor --smoke` and `sdc_audit --smoke`;
+  * tests/golden/<bench>.stdout, the stdout of the paper's tables and
+    figures (table1_study_scale, table2_memory_settings,
+    table3_hierarchies, table4_sim_config, fig01_memory_utilization,
+    fig02_margin_distribution, fig03_brand_chips_per_rank,
+    fig04_other_factors, fig06_error_rates, fig11_margin_variability,
+    fig17_system_wide, fig18_resilience) and of `fig19_monitor --smoke`
+    and `sdc_audit --smoke`;
   * tests/golden/example_<name>.stdout, the stdout of the examples.
 
 Bench stdout is deterministic, so a difference is a change of results.
