@@ -1,5 +1,7 @@
 #include "ecc/bamboo.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace hdmr::ecc
@@ -23,46 +25,41 @@ addressSymbols(std::uint64_t address)
 BambooCodec::BambooCodec()
     : rs_(kDataBytes + kAddressBytes, kParityBytes)
 {
+    hdmr_assert(rs_.dataSymbols() == kDataBytes + kAddressBytes &&
+                rs_.paritySymbols() == kParityBytes);
 }
 
 CodedBlock
 BambooCodec::encode(const Block &data, std::uint64_t address) const
 {
-    std::vector<GfElem> message(kDataBytes + kAddressBytes);
-    for (std::size_t i = 0; i < kDataBytes; ++i)
-        message[i] = data[i];
+    std::array<GfElem, kDataBytes + kAddressBytes> message{};
+    std::copy(data.begin(), data.end(), message.begin());
     const auto addr = addressSymbols(address);
-    for (std::size_t i = 0; i < kAddressBytes; ++i)
-        message[kDataBytes + i] = addr[i];
-
-    const auto parity = rs_.encode(message);
-    hdmr_assert(parity.size() == kParityBytes);
+    std::copy(addr.begin(), addr.end(), message.begin() + kDataBytes);
 
     CodedBlock coded;
     coded.data = data;
-    for (std::size_t i = 0; i < kParityBytes; ++i)
-        coded.parity[i] = parity[i];
+    rs_.encode(message, coded.parity);
     return coded;
 }
 
-std::vector<GfElem>
-BambooCodec::toCodeword(const CodedBlock &coded, std::uint64_t address) const
+BambooCodec::Codeword
+BambooCodec::toCodeword(const CodedBlock &coded, std::uint64_t address)
 {
-    std::vector<GfElem> cw(kDataBytes + kAddressBytes + kParityBytes);
-    for (std::size_t i = 0; i < kDataBytes; ++i)
-        cw[i] = coded.data[i];
+    Codeword cw{};
+    std::copy(coded.data.begin(), coded.data.end(), cw.begin());
     const auto addr = addressSymbols(address);
-    for (std::size_t i = 0; i < kAddressBytes; ++i)
-        cw[kDataBytes + i] = addr[i];
-    for (std::size_t i = 0; i < kParityBytes; ++i)
-        cw[kDataBytes + kAddressBytes + i] = coded.parity[i];
+    std::copy(addr.begin(), addr.end(), cw.begin() + kDataBytes);
+    std::copy(coded.parity.begin(), coded.parity.end(),
+              cw.begin() + kDataBytes + kAddressBytes);
     return cw;
 }
 
 BlockDecodeResult
 BambooCodec::decodeCorrecting(CodedBlock &coded, std::uint64_t address) const
 {
-    auto cw = toCodeword(coded, address);
+    const Codeword word = toCodeword(coded, address);
+    std::vector<GfElem> cw(word.begin(), word.end());
     // The address symbols occupy [kDataBytes, kDataBytes+kAddressBytes);
     // they are recomputed from the request, so any "correction" there
     // is a mis-location and must be refused.
@@ -89,7 +86,7 @@ BlockDecodeResult
 BambooCodec::decodeDetectOnly(const CodedBlock &coded,
                               std::uint64_t address) const
 {
-    const auto cw = toCodeword(coded, address);
+    const Codeword cw = toCodeword(coded, address);
     BlockDecodeResult result;
     result.status = rs_.detect(cw) ? DecodeStatus::kDetectedOnly
                                    : DecodeStatus::kClean;

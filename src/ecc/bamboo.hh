@@ -141,9 +141,13 @@ class BambooCodec
     }
 
   private:
+    /** An RS(80, 72) codeword: [data | address | parity]. */
+    using Codeword =
+        std::array<GfElem, kDataBytes + kAddressBytes + kParityBytes>;
+
     /** Assemble [data | address | parity] into an RS codeword. */
-    std::vector<GfElem> toCodeword(const CodedBlock &coded,
-                                   std::uint64_t address) const;
+    static Codeword toCodeword(const CodedBlock &coded,
+                               std::uint64_t address);
 
     ReedSolomon rs_;
 };

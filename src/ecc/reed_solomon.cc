@@ -38,53 +38,97 @@ ReedSolomon::ReedSolomon(std::size_t data_symbols,
     std::reverse(generator.begin(), generator.end());
     // Now generator[0] is the x^{2t} coefficient (1), descending order.
 
-    genRows_.resize(nParity_);
-    rootRows_.resize(nParity_);
+    // Zero rows pad the generator to at least kLanes rows and the roots
+    // to a multiple of kLanes (see the file comment).
+    genRows_.assign(std::max(nParity_, kLanes) * kRow, 0);
+    rootRows_.assign((nParity_ + kLanes - 1) / kLanes * kLanes * kRow, 0);
     for (std::size_t i = 0; i < nParity_; ++i) {
         const GfElem root = Gf256::expAlpha(static_cast<int>(i + 1));
-        for (unsigned x = 0; x < Gf256::kFieldSize; ++x) {
+        GfElem *root_pass = &rootRows_[i / kLanes * kLanes * kRow];
+        for (std::size_t x = 0; x < kRow; ++x) {
             const auto elem = static_cast<GfElem>(x);
-            genRows_[i][x] = Gf256::mul(elem, generator[i + 1]);
-            rootRows_[i][x] = Gf256::mul(elem, root);
+            genRows_[i * kRow + x] = Gf256::mul(elem, generator[i + 1]);
+            root_pass[x * kLanes + i % kLanes] = Gf256::mul(elem, root);
         }
     }
+}
+
+void
+ReedSolomon::encode(std::span<const GfElem> data,
+                    std::span<GfElem> parity) const
+{
+    hdmr_assert(data.size() == k_, "encode() expects %zu symbols, got %zu",
+                k_, data.size());
+    hdmr_assert(parity.size() == nParity_,
+                "encode() writes %zu parity symbols, got room for %zu",
+                nParity_, parity.size());
+
+    // Polynomial long division of D(x) * x^{2t} by g(x); the remainder
+    // is the parity.  Classic LFSR formulation: each step shifts the
+    // remainder left by one symbol and adds the feedback times g(x).
+    // The head (remainder symbols 0..kLanes-1) is indexed by constants
+    // only, so it stays in registers; the tail (kLanes..2t-1) has one
+    // more slot that stays 0 and shifts into the head's last symbol.
+    const GfElem *rows = genRows_.data();
+    const std::size_t tail_len = genRows_.size() / kRow - kLanes;
+    GfElem head[kLanes] = {};
+    GfElem tail[kMaxSymbols + 1] = {};
+    for (GfElem symbol : data) {
+        const GfElem feedback = Gf256::add(symbol, head[0]);
+#pragma GCC unroll 8
+        for (std::size_t i = 0; i + 1 < kLanes; ++i)
+            head[i] = Gf256::add(head[i + 1], rows[i * kRow + feedback]);
+        head[kLanes - 1] =
+            Gf256::add(tail[0], rows[(kLanes - 1) * kRow + feedback]);
+        for (std::size_t i = 0; i < tail_len; ++i) {
+            tail[i] = Gf256::add(tail[i + 1],
+                                 rows[(kLanes + i) * kRow + feedback]);
+        }
+    }
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kLanes; ++i) {
+        if (i < nParity_)
+            parity[i] = head[i];
+    }
+    for (std::size_t i = 0; i < tail_len; ++i)
+        parity[kLanes + i] = tail[i];
 }
 
 std::vector<GfElem>
 ReedSolomon::encode(const std::vector<GfElem> &data) const
 {
-    hdmr_assert(data.size() == k_, "encode() expects %zu symbols, got %zu",
-                k_, data.size());
-
-    // Polynomial long division of D(x) * x^{2t} by g(x); the remainder
-    // is the parity.  Classic LFSR formulation: each step shifts the
-    // remainder left by one symbol and adds the feedback times g(x).
-    GfElem remainder[kMaxSymbols] = {};
-    for (GfElem symbol : data) {
-        const GfElem feedback = Gf256::add(symbol, remainder[0]);
-        for (std::size_t i = 0; i + 1 < nParity_; ++i) {
-            remainder[i] =
-                Gf256::add(remainder[i + 1], genRows_[i][feedback]);
-        }
-        remainder[nParity_ - 1] = genRows_[nParity_ - 1][feedback];
-    }
-    return std::vector<GfElem>(remainder, remainder + nParity_);
+    std::vector<GfElem> parity(nParity_);
+    encode(data, parity);
+    return parity;
 }
 
 void
 ReedSolomon::computeSyndromes(const GfElem *codeword, GfElem *out) const
 {
-    // s_j = c(alpha^{j+1}) by Horner's rule, all 2t roots in one pass
-    // over the codeword.  The accumulators live in a local array: kept
-    // in the output they would be stored and reloaded every step.
-    GfElem acc[kMaxSymbols] = {};
+    // s_j = c(alpha^{j+1}) by Horner's rule, kLanes roots per pass over
+    // the codeword.  The lane loops unroll fully, so the accumulators
+    // are indexed by constants only and stay in registers, and every
+    // lane's product is one load at a constant offset from one base
+    // pointer: each step is one load and one xor per lane.
     const std::size_t n = codewordSymbols();
-    for (std::size_t i = 0; i < n; ++i) {
-        const GfElem symbol = codeword[i];
-        for (std::size_t j = 0; j < nParity_; ++j)
-            acc[j] = Gf256::add(rootRows_[j][acc[j]], symbol);
+    const GfElem *products = rootRows_.data();
+    for (std::size_t base = 0; base < nParity_;
+         base += kLanes, products += kLanes * kRow) {
+        GfElem acc[kLanes] = {};
+        for (std::size_t i = 0; i < n; ++i) {
+            const GfElem symbol = codeword[i];
+#pragma GCC unroll 8
+            for (std::size_t lane = 0; lane < kLanes; ++lane) {
+                acc[lane] = Gf256::add(products[acc[lane] * kLanes + lane],
+                                       symbol);
+            }
+        }
+#pragma GCC unroll 8
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+            if (base + lane < nParity_)
+                out[base + lane] = acc[lane];
+        }
     }
-    std::copy(acc, acc + nParity_, out);
 }
 
 std::vector<GfElem>
@@ -97,7 +141,7 @@ ReedSolomon::syndromes(const std::vector<GfElem> &codeword) const
 }
 
 bool
-ReedSolomon::detect(const std::vector<GfElem> &codeword) const
+ReedSolomon::detect(std::span<const GfElem> codeword) const
 {
     hdmr_assert(codeword.size() == codewordSymbols());
     GfElem s[kMaxSymbols] = {};
@@ -113,8 +157,10 @@ ReedSolomon::correct(std::vector<GfElem> &codeword,
 {
     DecodeResult result;
     const std::size_t n = codewordSymbols();
-    const auto synd = syndromes(codeword);
-    if (std::all_of(synd.begin(), synd.end(),
+    hdmr_assert(codeword.size() == n);
+    GfElem synd[kMaxSymbols] = {};
+    computeSyndromes(codeword.data(), synd);
+    if (std::all_of(synd, synd + nParity_,
                     [](GfElem v) { return v == 0; })) {
         result.status = DecodeStatus::kClean;
         return result;

@@ -15,13 +15,32 @@
  * coefficients and the 2t roots, so the constructor tabulates each of
  * those constants' products as one 256-entry row (4 KiB for 8 parity
  * symbols) and every such multiply is one load.
+ *
+ * Both hot loops keep their loop-carried state in registers, through
+ * one code path for every geometry:
+ *
+ *  - Syndromes run Horner's rule for eight roots per pass over the
+ *    codeword, with the eight accumulators in scalars.  The root rows
+ *    are zero-padded to a multiple of eight, and each pass's eight rows
+ *    are interleaved so all lanes load from one base pointer; a padded
+ *    lane is computed and its result dropped.  Bamboo's 2t = 8 takes
+ *    one pass, the 16- and 32-parity test codes two and four.
+ *  - The encoder's LFSR keeps its first eight remainder symbols (the
+ *    head, which carries the feedback chain) in scalars.  The
+ *    generator rows are zero-padded to at least eight, and a zero row
+ *    holds its register at 0, so 2t < 8 needs no other branch.
+ *    Symbols 8..2t-1, for 2t > 8, shift through a local array off the
+ *    feedback chain.
+ *
+ * The span entry points allocate nothing; the vector-returning ones
+ * wrap the same kernels.
  */
 
 #ifndef HDMR_ECC_REED_SOLOMON_HH
 #define HDMR_ECC_REED_SOLOMON_HH
 
-#include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "ecc/gf256.hh"
@@ -53,7 +72,7 @@ struct DecodeResult
 };
 
 /**
- * Reed-Solomon codec.  Codewords are vectors of n bytes laid out as
+ * Reed-Solomon codec.  Codewords are n symbols laid out as
  * [data(k) | parity(2t)].  The object is immutable after construction
  * and safe to share.
  */
@@ -74,16 +93,20 @@ class ReedSolomon
     std::size_t correctionCapability() const { return nParity_ / 2; }
 
     /**
-     * Compute parity for `data` (size k).  Returns the 2t parity
-     * symbols; the full codeword is data followed by parity.
+     * Compute parity for `data` (size k) into `parity` (size 2t); the
+     * full codeword is data followed by parity.
      */
+    void encode(std::span<const GfElem> data,
+                std::span<GfElem> parity) const;
+
+    /** The 2t parity symbols of `data` (size k), as a new vector. */
     std::vector<GfElem> encode(const std::vector<GfElem> &data) const;
 
     /** Syndromes of a full codeword (size n); all-zero means clean. */
     std::vector<GfElem> syndromes(const std::vector<GfElem> &codeword) const;
 
-    /** True iff any syndrome is non-zero. */
-    bool detect(const std::vector<GfElem> &codeword) const;
+    /** True iff any syndrome of `codeword` (size n) is non-zero. */
+    bool detect(std::span<const GfElem> codeword) const;
 
     /**
      * Full decode: detect and correct in place (up to t symbols).
@@ -108,21 +131,30 @@ class ReedSolomon
     }
 
   private:
-    /** row[x] = x * c for one fixed constant c, so a multiply by c
-     *  is a single table load. */
-    using ProductRow = std::array<GfElem, Gf256::kFieldSize>;
+    /** Symbols per product row: row[x] = x * c for one fixed constant
+     *  c, so a multiply by c is a single table load. */
+    static constexpr std::size_t kRow = Gf256::kFieldSize;
 
-    /** Horner's rule for all 2t roots in one pass; writes 2t
-     *  syndromes to `out`. */
+    /** Syndromes (or remainder symbols) kept in registers per pass. */
+    static constexpr std::size_t kLanes = 8;
+
+    /** Horner's rule, kLanes roots per pass; writes the 2t syndromes
+     *  of the n-symbol `codeword` to `out`. */
     void computeSyndromes(const GfElem *codeword, GfElem *out) const;
 
     std::size_t k_;
     std::size_t nParity_;
-    /** genRows_[i]: products with generator coefficient i + 1 (of
-     *  x^{2t-1-i}); the monic leading coefficient needs no row. */
-    std::vector<ProductRow> genRows_;
-    /** rootRows_[j]: products with the syndrome root alpha^{j+1}. */
-    std::vector<ProductRow> rootRows_;
+    /** Product rows laid end to end, so one base pointer reaches them
+     *  all.  Row i: products with generator coefficient i + 1 (of
+     *  x^{2t-1-i}); the monic leading coefficient needs no row.  Rows
+     *  2t.. are zero, up to kLanes rows. */
+    std::vector<GfElem> genRows_;
+    /** Row j: products with the syndrome root alpha^{j+1}.  Rows 2t..
+     *  are zero, up to a multiple of kLanes rows.  Each pass's kLanes
+     *  rows are interleaved, entry kLanes * x + lane holding row
+     *  (pass * kLanes + lane)'s product with x, so that the lanes'
+     *  different accumulators index one base pointer. */
+    std::vector<GfElem> rootRows_;
 };
 
 } // namespace hdmr::ecc

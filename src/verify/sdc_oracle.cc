@@ -229,19 +229,22 @@ ShadowMemoryOracle::recoverOnce(std::uint64_t address,
     // half are module-side bursts past the 4-symbol correction bound
     // (an intermittently weak rank), which is what forces the next
     // rung of the ladder.
+    //
+    // A pristine re-read is the freshly encoded reference, a valid
+    // codeword: the correcting decode would find zero syndromes and
+    // leave it untouched, so it recovers without being decoded.
+    if (!(config_.originalErrorProbability > 0.0 &&
+          rng.bernoulli(config_.originalErrorProbability)))
+        return true;
     ecc::CodedBlock original = reference;
-    if (config_.originalErrorProbability > 0.0 &&
-        rng.bernoulli(config_.originalErrorProbability)) {
-        if (rng.bernoulli(0.5)) {
-            const ecc::ErrorPattern pattern =
-                rng.bernoulli(0.5) ? ecc::ErrorPattern::kSingleBit
-                                   : ecc::ErrorPattern::kSingleByte;
-            ecc::injectPattern(original, pattern, rng);
-        } else {
-            const auto burst =
-                static_cast<unsigned>(rng.uniformInt(5, 8));
-            ecc::corruptBytes(original, burst, rng);
-        }
+    if (rng.bernoulli(0.5)) {
+        const ecc::ErrorPattern pattern =
+            rng.bernoulli(0.5) ? ecc::ErrorPattern::kSingleBit
+                               : ecc::ErrorPattern::kSingleByte;
+        ecc::injectPattern(original, pattern, rng);
+    } else {
+        const auto burst = static_cast<unsigned>(rng.uniformInt(5, 8));
+        ecc::corruptBytes(original, burst, rng);
     }
     const ecc::BlockDecodeResult result =
         codec_.decodeCorrecting(original, address);

@@ -204,7 +204,8 @@ class ShadowMemoryOracle
                      OracleCounters &counters, util::Rng &rng);
 
     /** One recovery-ladder rung: spec re-read of the original, whose
-     *  stored contents are the clean `reference`. */
+     *  stored contents are the clean `reference` (a valid codeword,
+     *  so only a re-read that draws an error is decoded). */
     bool recoverOnce(std::uint64_t address,
                      const ecc::CodedBlock &reference,
                      bool &miscorrected, util::Rng &rng);

@@ -71,14 +71,19 @@ TEST_P(RsGeometry, RoundTripAndCorrectionCapability)
 }
 
 // Bamboo's RS(80,72) is the (72, 8) case: 64 data and 8 folded-address
-// symbols under 8 parity symbols.
+// symbols under 8 parity symbols.  The codec works in lanes of eight
+// symbols: (30, 2) runs six zero generator rows and a syndrome pass that
+// is mostly padding; (100, 12) a partial second syndrome pass and a
+// four-symbol encoder tail past the eight-symbol head.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, RsGeometry,
     ::testing::Values(std::make_tuple(16, 4), std::make_tuple(32, 8),
                       std::make_tuple(64, 8),
                       std::make_tuple(128, 16),
                       std::make_tuple(200, 32),
-                      std::make_tuple(72, 8)));
+                      std::make_tuple(72, 8),
+                      std::make_tuple(30, 2),
+                      std::make_tuple(100, 12)));
 
 // --------------------------------------------------------------------
 // DRAM data-rate sweep
