@@ -19,8 +19,12 @@ The checked-in files it guards:
     table3_hierarchies, table4_sim_config, fig01_memory_utilization,
     fig02_margin_distribution, fig03_brand_chips_per_rank,
     fig04_other_factors, fig06_error_rates, fig11_margin_variability,
-    fig17_system_wide, fig18_resilience) and of `fig19_monitor --smoke`
-    and `sdc_audit --smoke`;
+    fig17_system_wide, fig18_resilience), of the margin-drift campaign
+    (fig18_drift) and of the two design ablations
+    (ablation_hetreliability, ablation_heterodmr);
+  * tests/golden/<bench>_smoke.stdout, the stdout of the self-gating
+    smokes `fig19_monitor --smoke`, `sdc_audit --smoke`,
+    `fig18_drift --smoke` and `ablation_hetreliability --smoke`;
   * tests/golden/example_<name>.stdout, the stdout of the examples.
 
 Bench stdout is deterministic, so a difference is a change of results.
