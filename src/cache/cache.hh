@@ -106,15 +106,6 @@ class Cache
     std::uint64_t misses() const { return misses_; }
     std::uint64_t prefetchUsefulCount() const { return prefetchUseful_; }
 
-    double
-    hitRate() const
-    {
-        const std::uint64_t total = hits_ + misses_;
-        return total == 0 ? 0.0
-                          : static_cast<double>(hits_) /
-                                static_cast<double>(total);
-    }
-
     /**
      * Bind observability metrics under `prefix` (e.g. "cache.l2.c0"):
      * hits, misses, and dirty writebacks (demand/fill evictions plus

@@ -136,14 +136,6 @@ PlacementPolicy::tolerantStrikeProbability(
     return std::min(1.0, std::max(0.0, tolerant_fraction));
 }
 
-UeOutcome
-PlacementPolicy::outcomeFor(bool tolerant_page) const
-{
-    if (tolerant_page && mode != PlacementMode::kHeteroDmr)
-        return UeOutcome::kDegradeContinue;
-    return UeOutcome::kKillRequeue;
-}
-
 std::uint64_t
 PlacementPolicy::digest() const
 {

@@ -46,13 +46,6 @@ enum class PlacementMode : std::uint8_t
 
 const char *toString(PlacementMode mode);
 
-/** What the degradation semantics do with one UE. */
-enum class UeOutcome : std::uint8_t
-{
-    kKillRequeue,     ///< critical page: kill + requeue + quarantine
-    kDegradeContinue, ///< tolerant page: downgrade, continue, penalize
-};
-
 /** The (stateless) placement policy. */
 struct PlacementPolicy
 {
@@ -98,9 +91,6 @@ struct PlacementPolicy
      * Hetero-DMR, where every page has a copy to recover from.
      */
     double tolerantStrikeProbability(double tolerant_fraction) const;
-
-    /** Degradation semantics for one UE. */
-    UeOutcome outcomeFor(bool tolerant_page) const;
 
     /** SplitMix64-chained fingerprint of every field. */
     std::uint64_t digest() const;

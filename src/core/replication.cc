@@ -118,18 +118,6 @@ ReplicationManager::planChannel(ReplicationMode mode)
     util::panic("unknown replication mode");
 }
 
-std::size_t
-ReplicationManager::chooseFreeModule(
-    const std::vector<unsigned> &module_margins_mts)
-{
-    if (module_margins_mts.empty())
-        return 0;
-    return static_cast<std::size_t>(
-        std::max_element(module_margins_mts.begin(),
-                         module_margins_mts.end()) -
-        module_margins_mts.begin());
-}
-
 unsigned
 ReplicationManager::channelMargin(
     const std::vector<unsigned> &module_margins_mts)
@@ -148,16 +136,6 @@ ReplicationManager::nodeMargin(
         return 0;
     return *std::min_element(channel_margins_mts.begin(),
                              channel_margins_mts.end());
-}
-
-std::size_t
-ReplicationManager::remapForPermanentFault(std::size_t faulty_module,
-                                           std::size_t num_modules)
-{
-    hdmr_assert(num_modules >= 2);
-    return faulty_module == 0 ? 1 : (faulty_module == num_modules - 1
-                                         ? num_modules - 2
-                                         : faulty_module - 1);
 }
 
 } // namespace hdmr::core

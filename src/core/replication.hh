@@ -79,14 +79,6 @@ class ReplicationManager
     /** Build the per-channel plan for a (resolved) mode. */
     static ChannelPlan planChannel(ReplicationMode mode);
 
-    /**
-     * Margin-aware Free-Module selection (Section III-D1): the index
-     * of the module with the highest measured margin.  Returns 0 for
-     * an empty input.
-     */
-    static std::size_t
-    chooseFreeModule(const std::vector<unsigned> &module_margins_mts);
-
     /** Channel-level margin under margin-aware selection. */
     static unsigned
     channelMargin(const std::vector<unsigned> &module_margins_mts);
@@ -94,14 +86,6 @@ class ReplicationManager
     /** Node-level margin: minimum across channels (Section III-D2). */
     static unsigned
     nodeMargin(const std::vector<unsigned> &channel_margins_mts);
-
-    /**
-     * Permanent-fault handling (Section III-E): given the faulty
-     * module index, returns the module that should hold copies
-     * instead (the other module of the pair).
-     */
-    static std::size_t remapForPermanentFault(std::size_t faulty_module,
-                                              std::size_t num_modules);
 };
 
 } // namespace hdmr::core

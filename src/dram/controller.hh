@@ -208,9 +208,8 @@ class MemoryController
      */
     void enqueueWrite(MemRequest request);
 
-    /** Queue depths (for backpressure decisions upstream). */
+    /** Read queue depth (for backpressure decisions upstream). */
     std::size_t readQueueDepth() const { return readQueue_.size(); }
-    std::size_t writeQueueDepth() const { return writeQueue_.size(); }
 
     ChannelMode mode() const { return mode_; }
 

@@ -12,26 +12,6 @@
 namespace hdmr::fault
 {
 
-const char *
-toString(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::kTransientUncorrectable:
-        return "transient-UE";
-      case FaultKind::kErrorBurst:
-        return "error-burst";
-      case FaultKind::kMarginDrift:
-        return "margin-drift";
-      case FaultKind::kTemperatureExcursion:
-        return "temp-excursion";
-      case FaultKind::kNodeFailure:
-        return "node-failure";
-      case FaultKind::kGroupDemotion:
-        return "group-demotion";
-    }
-    return "unknown";
-}
-
 util::Status
 CampaignConfig::validate() const
 {
@@ -205,31 +185,6 @@ FaultCampaign::killTimeSeconds(std::uint64_t seed, unsigned job_id,
                                  attempt)));
     const double u = rng.uniform(); // in [0, 1)
     return -std::log1p(-u) / rate_per_second;
-}
-
-void
-publishScheduleTelemetry(const std::vector<FaultEvent> &schedule,
-                         telemetry::Registry &registry,
-                         const std::string &prefix)
-{
-    constexpr FaultKind kAllKinds[] = {
-        FaultKind::kTransientUncorrectable,
-        FaultKind::kErrorBurst,
-        FaultKind::kMarginDrift,
-        FaultKind::kTemperatureExcursion,
-        FaultKind::kNodeFailure,
-        FaultKind::kGroupDemotion,
-    };
-    for (const FaultKind kind : kAllKinds)
-        registry.counter(prefix + ".scheduled." + toString(kind));
-    telemetry::Counter &total =
-        registry.counter(prefix + ".scheduled.total");
-    for (const FaultEvent &event : schedule) {
-        registry
-            .counter(prefix + ".scheduled." + toString(event.kind))
-            .inc();
-        total.inc();
-    }
 }
 
 // --------------------------------------------------------------------

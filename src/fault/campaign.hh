@@ -24,11 +24,9 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "fault/fault.hh"
-#include "telemetry/metrics.hh"
 #include "util/status.hh"
 
 namespace hdmr::snapshot
@@ -129,17 +127,6 @@ class FaultCampaign
   private:
     CampaignConfig config_;
 };
-
-/**
- * Publish a schedule's per-kind event counts as counters
- * `<prefix>.scheduled.<kind>` plus `<prefix>.scheduled.total`
- * (export-time enumeration, not a hot path).  Every FaultKind gets a
- * counter even when its count is zero, so campaign exports always
- * carry the full taxonomy.
- */
-void publishScheduleTelemetry(const std::vector<FaultEvent> &schedule,
-                              telemetry::Registry &registry,
-                              const std::string &prefix);
 
 /**
  * A resumable position inside an expanded fault schedule.

@@ -40,8 +40,6 @@ enum class FaultKind : std::uint8_t
     kGroupDemotion,          ///< node reclassified one margin group down
 };
 
-const char *toString(FaultKind kind);
-
 /** One scheduled fault. */
 struct FaultEvent
 {

@@ -176,16 +176,6 @@ MarginDriftModel::errorMultiplierAt(unsigned module, double hour) const
     return multiplier;
 }
 
-DriftSample
-MarginDriftModel::sampleAt(unsigned module, double hour) const
-{
-    DriftSample sample;
-    sample.erosionMts = erosionMtsAt(module, hour);
-    sample.ambientDeltaC = ambientDeltaAt(hour);
-    sample.errorMultiplier = errorMultiplierAt(module, hour);
-    return sample;
-}
-
 OperatingPoint
 MarginDriftModel::operatingPointAt(const OperatingPoint &base,
                                    double hour) const

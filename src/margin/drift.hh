@@ -111,17 +111,6 @@ struct VoltageSpike
     }
 };
 
-/** The drift conditions in effect for one module at one instant. */
-struct DriftSample
-{
-    /** Accumulated stable-rate erosion, MT/s. */
-    double erosionMts = 0.0;
-    /** Diurnal ambient rise over the base operating point, degC. */
-    double ambientDeltaC = 0.0;
-    /** Product of the active voltage-noise multipliers. */
-    double errorMultiplier = 1.0;
-};
-
 /**
  * The realized drift curves for one fleet.  Construction draws every
  * per-module curve from the seed; evaluation is pure.
@@ -147,9 +136,6 @@ class MarginDriftModel
 
     /** Voltage-noise error multiplier of `module` at `hour`. */
     double errorMultiplierAt(unsigned module, double hour) const;
-
-    /** All three processes of `module` sampled at `hour`. */
-    DriftSample sampleAt(unsigned module, double hour) const;
 
     // ---- drifted oracle (modulates margin::ErrorRateModel) ----
 

@@ -76,21 +76,6 @@ ErrorRateModel::errorsPerHour(const MemoryModule &module,
 }
 
 double
-ErrorRateModel::correctedErrorsPerHour(const MemoryModule &module,
-                                       const OperatingPoint &op) const
-{
-    return errorsPerHour(module, op) *
-           (1.0 - params_.uncorrectableFraction);
-}
-
-double
-ErrorRateModel::uncorrectedErrorsPerHour(const MemoryModule &module,
-                                         const OperatingPoint &op) const
-{
-    return errorsPerHour(module, op) * params_.uncorrectableFraction;
-}
-
-double
 ErrorRateModel::errorProbabilityPerRead(const MemoryModule &module,
                                         const OperatingPoint &op) const
 {

@@ -148,14 +148,6 @@ class ErrorRateModel
     double errorsPerHour(const MemoryModule &module,
                          const OperatingPoint &op) const;
 
-    /** Expected ECC-corrected errors per hour. */
-    double correctedErrorsPerHour(const MemoryModule &module,
-                                  const OperatingPoint &op) const;
-
-    /** Expected uncorrected errors per hour. */
-    double uncorrectedErrorsPerHour(const MemoryModule &module,
-                                    const OperatingPoint &op) const;
-
     /**
      * Probability that one 64-byte read performed at `op` returns a
      * detectably corrupted block.  Used by the Hetero-DMR node model to

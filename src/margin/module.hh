@@ -88,13 +88,6 @@ struct MemoryModule
     /** Module responds to 1.35 V overvolting with extra margin (22/27). */
     bool respondsToOvervolt = true;
 
-    /** Latent frequency margin in MT/s (unquantized, uncapped). */
-    unsigned
-    trueMarginMts() const
-    {
-        return maxStableRateMts - spec.specRateMts;
-    }
-
     /** Short identifier like "A17" used in Fig. 6-style output. */
     std::string name() const;
 };

@@ -96,15 +96,6 @@ TestMachine::characterizeFleet(const std::vector<MemoryModule> &fleet)
     return out;
 }
 
-MarginMeasurement
-TestMachine::characterizeOvervolted(const MemoryModule &module)
-{
-    TestMachineConfig overvolted = config_;
-    overvolted.voltage = 1.35;
-    TestMachine machine(overvolted, rng_.next());
-    return machine.characterize(module);
-}
-
 std::optional<StressTestResult>
 TestMachine::stressAtMarginEdge(const MemoryModule &module)
 {

@@ -85,12 +85,6 @@ class TestMachine
     characterizeFleet(const std::vector<MemoryModule> &fleet);
 
     /**
-     * The 1.35 V experiment of Section II-A: returns the measured max
-     * rate at 1.35 V (all other settings unchanged).
-     */
-    MarginMeasurement characterizeOvervolted(const MemoryModule &module);
-
-    /**
      * Error rate at the module's highest *bootable* data rate - the
      * Fig. 6 methodology.  Returns nullopt if the module fails to boot
      * even at one step above spec (seen for a few modules at 45 degC).

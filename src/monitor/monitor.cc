@@ -359,15 +359,6 @@ RegionSampler::splitRegions()
     }
 }
 
-telemetry::Log2Histogram
-RegionSampler::nodeAccessHistogram() const
-{
-    telemetry::Log2Histogram merged;
-    for (const Region &region : regions_)
-        merged.merge(region.history);
-    return merged;
-}
-
 void
 RegionSampler::bindTelemetry(telemetry::Registry &registry,
                              const std::string &prefix)

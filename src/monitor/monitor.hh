@@ -184,13 +184,6 @@ class RegionSampler
     Tick windowTicks() const { return windowTicks_; }
 
     /**
-     * Per-node access-count distribution: every region's history
-     * merged bin-for-bin (telemetry::Log2Histogram::merge), no
-     * re-binning.
-     */
-    telemetry::Log2Histogram nodeAccessHistogram() const;
-
-    /**
      * Bind observability metrics under `prefix` ("<prefix>.samples",
      * ".aggregations", ".splits", ".merges", ".throttles", region
      * count and duty gauges, and the per-region access histogram).

@@ -66,20 +66,6 @@ operator==(const AdvisorDecision &a, const AdvisorDecision &b)
            a.rolloutTurnaroundSeconds == b.rolloutTurnaroundSeconds;
 }
 
-const char *
-qualityName(Quality quality)
-{
-    switch (quality) {
-      case Quality::kExact:
-        return "exact";
-      case Quality::kCached:
-        return "cached";
-      case Quality::kDegraded:
-        return "degraded";
-    }
-    return "unknown";
-}
-
 util::Status
 AdvisorRequest::validate() const
 {

@@ -97,8 +97,6 @@ enum class Quality : std::uint8_t
     kDegraded = 2 ///< table-only fallback (deadline/breaker/policy)
 };
 
-const char *qualityName(Quality quality);
-
 /** The advisor's answer. */
 struct AdvisorDecision
 {

@@ -2,11 +2,8 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 
 #include "telemetry/trace.hh"
-#include "traces/csv.hh"
-#include "util/logging.hh"
 
 namespace hdmr::telemetry
 {
@@ -96,131 +93,6 @@ writeMetricsCsv(const Registry &registry, const std::string &path,
         }
     }
     return atomicWrite(path, body, error);
-}
-
-util::Status
-loadMetricsCsv(Registry &registry, const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in.is_open())
-        return util::notFound("cannot open '%s'", path.c_str());
-
-    traces::CsvCursor at{path, 0};
-    std::string line;
-    bool header_seen = false;
-    // Histograms arrive as (count, sum, bucket*) rows; totals are
-    // applied once the count and sum rows have both been seen, and the
-    // bucket rows must reconcile by end of file.
-    struct HistogramAccumulator
-    {
-        Log2Histogram *histogram = nullptr;
-        std::uint64_t bucketTotal = 0;
-        std::uint64_t declaredCount = 0;
-        bool haveCount = false;
-        bool haveSum = false;
-    };
-    std::map<std::string, HistogramAccumulator> accumulators;
-
-    util::Status read_status;
-    while (traces::readCsvLine(in, &at, &line, &read_status)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty() || line.front() == '#')
-            continue;
-        if (!header_seen) {
-            if (line != "name,kind,field,value")
-                return util::dataLoss(
-                    "%s:%zu: not a metrics CSV (bad header '%s')",
-                    at.file.c_str(), at.line, line.c_str());
-            header_seen = true;
-            continue;
-        }
-
-        std::vector<std::string> fields;
-        HDMR_RETURN_IF_ERROR(
-            traces::splitCsvLine(at, line, 4, &fields));
-        const std::string &name = fields[0];
-        const std::string &kind = fields[1];
-        const std::string &field = fields[2];
-        const std::string &value = fields[3];
-        if (!Registry::validName(name))
-            return util::dataLoss(
-                "%s:%zu: field 'name': malformed metric name '%s'",
-                at.file.c_str(), at.line, name.c_str());
-
-        if (kind == "counter" && field == "value") {
-            std::uint64_t count = 0;
-            HDMR_RETURN_IF_ERROR(traces::parseCsvUnsigned(
-                at, "value", value, 0, UINT64_MAX, &count));
-            registry.counter(name).set(count);
-        } else if (kind == "gauge" && field == "value") {
-            double gauge_value = 0.0;
-            HDMR_RETURN_IF_ERROR(traces::parseCsvDouble(
-                at, "value", value, -1.0e300, 1.0e300,
-                &gauge_value));
-            registry.gauge(name).set(gauge_value);
-        } else if (kind == "histogram") {
-            HistogramAccumulator &acc = accumulators[name];
-            if (acc.histogram == nullptr) {
-                acc.histogram = &registry.histogram(name);
-                for (unsigned b = 0; b < Log2Histogram::kBuckets; ++b)
-                    acc.histogram->setBucketCount(b, 0);
-                acc.histogram->setTotals(0, 0);
-            }
-            if (field == "count") {
-                HDMR_RETURN_IF_ERROR(traces::parseCsvUnsigned(
-                    at, "count", value, 0, UINT64_MAX,
-                    &acc.declaredCount));
-                acc.haveCount = true;
-            } else if (field == "sum") {
-                std::uint64_t sum = 0;
-                HDMR_RETURN_IF_ERROR(traces::parseCsvUnsigned(
-                    at, "sum", value, 0, UINT64_MAX, &sum));
-                acc.histogram->setTotals(acc.histogram->count(), sum);
-                acc.haveSum = true;
-            } else if (field.rfind("bucket", 0) == 0) {
-                std::uint64_t bucket = 0;
-                HDMR_RETURN_IF_ERROR(traces::parseCsvUnsigned(
-                    at, "field", field.substr(6), 0,
-                    Log2Histogram::kBuckets - 1, &bucket));
-                std::uint64_t bucket_count = 0;
-                HDMR_RETURN_IF_ERROR(traces::parseCsvUnsigned(
-                    at, "value", value, 1, UINT64_MAX,
-                    &bucket_count));
-                acc.histogram->setBucketCount(
-                    static_cast<unsigned>(bucket), bucket_count);
-                acc.bucketTotal += bucket_count;
-            } else {
-                return util::dataLoss(
-                    "%s:%zu: field 'field': unknown histogram field "
-                    "'%s'",
-                    at.file.c_str(), at.line, field.c_str());
-            }
-            if (acc.haveCount)
-                acc.histogram->setTotals(acc.declaredCount,
-                                         acc.histogram->sum());
-        } else {
-            return util::dataLoss(
-                "%s:%zu: field 'kind': unknown metric row '%s,%s'",
-                at.file.c_str(), at.line, kind.c_str(),
-                field.c_str());
-        }
-    }
-    HDMR_RETURN_IF_ERROR(read_status);
-
-    if (!header_seen)
-        return util::dataLoss("%s: not a metrics CSV (missing header)",
-                              at.file.c_str());
-    for (const auto &[name, acc] : accumulators) {
-        if (!acc.haveCount || !acc.haveSum ||
-            acc.bucketTotal != acc.declaredCount) {
-            return util::dataLoss(
-                "%s: histogram '%s' is incomplete or its bucket "
-                "counts disagree with its total",
-                at.file.c_str(), name.c_str());
-        }
-    }
-    return util::Status{};
 }
 
 bool

@@ -13,13 +13,10 @@
  *     ...
  *
  * with histograms expanded to their totals plus every non-zero bucket.
- * The loader reuses the strict src/traces/csv helpers, so a corrupt
- * metrics file is rejected with a <file>:<line>: message naming the
- * offending cell, exactly like the trace loaders.
  *
  * The JSON sink writes the same data as one self-describing object for
- * downstream tooling; there is no JSON loader (CSV is the round-trip
- * format).
+ * downstream tooling.  Both files are write-only exports: nothing in
+ * the project reads either one back.
  */
 
 #ifndef HDMR_TELEMETRY_SINKS_HH
@@ -28,7 +25,6 @@
 #include <string>
 
 #include "telemetry/metrics.hh"
-#include "util/status.hh"
 
 namespace hdmr::telemetry
 {
@@ -36,16 +32,6 @@ namespace hdmr::telemetry
 /** Write every metric, name-sorted.  False + *error on I/O failure. */
 bool writeMetricsCsv(const Registry &registry, const std::string &path,
                      std::string *error);
-
-/**
- * Load a metrics CSV into `registry` (find-or-create per name,
- * overwriting values).  kNotFound when the file cannot be opened;
- * malformed content is kDataLoss with file:line context naming the
- * offending cell.  On error the registry may hold metrics from the
- * rows already parsed - reload into a fresh Registry to recover.
- */
-util::Status loadMetricsCsv(Registry &registry,
-                            const std::string &path);
 
 /** Write every metric as one JSON object.  False + *error on I/O. */
 bool writeMetricsJson(const Registry &registry, const std::string &path,

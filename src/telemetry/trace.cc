@@ -76,13 +76,6 @@ TraceRecorder::setThreadName(std::uint32_t tid, const std::string &name)
     threadNames_[tid] = name;
 }
 
-std::size_t
-TraceRecorder::openSpans(std::uint32_t tid) const
-{
-    const auto it = open_.find(tid);
-    return it == open_.end() ? 0 : it->second.size();
-}
-
 std::string
 jsonEscape(const std::string &text)
 {

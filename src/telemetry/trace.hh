@@ -83,9 +83,6 @@ class TraceRecorder
     /** Label a track; emitted as thread_name metadata. */
     void setThreadName(std::uint32_t tid, const std::string &name);
 
-    /** Open spans currently on track `tid`. */
-    std::size_t openSpans(std::uint32_t tid = 0) const;
-
     const std::vector<TraceEvent> &events() const { return events_; }
 
     /** Events discarded because the cap was reached. */

@@ -86,7 +86,6 @@ class Histogram
 
     void add(double x, double weight = 1.0);
 
-    std::size_t numBins() const { return counts_.size(); }
     double binLow(std::size_t i) const;
     double binHigh(std::size_t i) const;
     double binCount(std::size_t i) const { return counts_[i]; }

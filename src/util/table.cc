@@ -43,15 +43,6 @@ Table::cell(long long value)
     return cell(std::to_string(value));
 }
 
-Table &
-Table::addRow(std::initializer_list<std::string> cells)
-{
-    row();
-    for (const auto &c : cells)
-        cell(c);
-    return *this;
-}
-
 std::string
 Table::toString() const
 {

@@ -8,7 +8,6 @@
 #ifndef HDMR_UTIL_TABLE_HH
 #define HDMR_UTIL_TABLE_HH
 
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -36,9 +35,6 @@ class Table
 
     /** Append an integer cell. */
     Table &cell(long long value);
-
-    /** Convenience: add a complete row of string cells. */
-    Table &addRow(std::initializer_list<std::string> cells);
 
     std::size_t numRows() const { return rows_.size(); }
 

@@ -179,20 +179,6 @@ SdcAudit::SdcAudit(const SdcAuditConfig &config)
         fold_burst(ev);
 }
 
-const OracleCounters &
-SdcAudit::moduleCounters(unsigned module) const
-{
-    hdmr_assert(module < modules_.size());
-    return modules_[module].counters;
-}
-
-const core::EpochGuard &
-SdcAudit::moduleGuard(unsigned module) const
-{
-    hdmr_assert(module < modules_.size());
-    return modules_[module].guard;
-}
-
 OracleCounters &
 SdcAudit::epochSlot(std::uint64_t epoch_index)
 {

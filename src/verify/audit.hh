@@ -153,13 +153,11 @@ class SdcAudit
                           const std::string &prefix) const;
 
     const SdcAuditConfig &config() const { return config_; }
-    const OracleCounters &moduleCounters(unsigned module) const;
     /** Per-epoch counters, indexed by epoch number. */
     const std::vector<OracleCounters> &epochCounters() const
     {
         return epochs_;
     }
-    const core::EpochGuard &moduleGuard(unsigned module) const;
 
     // ---- snapshot/resume ----
 

@@ -189,16 +189,6 @@ suiteNames()
     return suites;
 }
 
-std::vector<WorkloadParams>
-benchmarksInSuite(const std::string &suite)
-{
-    std::vector<WorkloadParams> out;
-    for (const auto &p : benchmarkCatalog())
-        if (p.suite == suite)
-            out.push_back(p);
-    return out;
-}
-
 const WorkloadParams &
 benchmarkByName(const std::string &name)
 {

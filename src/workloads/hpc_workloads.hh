@@ -122,9 +122,6 @@ class SyntheticHpcStream : public AccessStream
 /** All benchmarks of the study, grouped by suite. */
 const std::vector<WorkloadParams> &benchmarkCatalog();
 
-/** Catalog entries belonging to one suite. */
-std::vector<WorkloadParams> benchmarksInSuite(const std::string &suite);
-
 /** The six suite names in the paper's order. */
 const std::vector<std::string> &suiteNames();
 

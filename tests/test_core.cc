@@ -204,15 +204,8 @@ TEST(Replication, FmrPlanReadsEitherCopy)
 
 TEST(Replication, MarginAwareSelection)
 {
-    EXPECT_EQ(ReplicationManager::chooseFreeModule({600, 1000}), 1u);
     EXPECT_EQ(ReplicationManager::channelMargin({600, 1000}), 1000u);
     EXPECT_EQ(ReplicationManager::nodeMargin({800, 600, 1000}), 600u);
-}
-
-TEST(Replication, PermanentFaultRemap)
-{
-    EXPECT_EQ(ReplicationManager::remapForPermanentFault(0, 2), 1u);
-    EXPECT_EQ(ReplicationManager::remapForPermanentFault(1, 2), 0u);
 }
 
 // --------------------------------------------------------------------

@@ -289,12 +289,15 @@ TEST(TestMachine, OvervoltHelpsOnlyBelowCap)
 {
     const auto fleet = studyFleet();
     TestMachine machine = roomTempMachine(11);
+    TestMachineConfig overvolted;
+    overvolted.voltage = 1.35; // the Section II-A experiment
+    TestMachine overvolted_machine(overvolted, 12);
     unsigned below_cap_improved = 0, below_cap_total = 0;
     for (const auto &m : fleet) {
         if (m.spec.brand == Brand::kD || m.spec.specRateMts != 3200)
             continue;
         const auto base = machine.characterize(m);
-        const auto hot = machine.characterizeOvervolted(m);
+        const auto hot = overvolted_machine.characterize(m);
         if (base.measuredMaxRateMts >= 4000) {
             // Already at the platform cap: 1.35 V cannot show more.
             EXPECT_LE(hot.measuredMaxRateMts, 4000u);
@@ -517,65 +520,6 @@ TEST(MonteCarlo, NodeGroupsSumToOne)
     EXPECT_NEAR(groups.at800 + groups.at600 + groups.at0, 1.0, 1e-9);
     EXPECT_GT(groups.at800, 0.5);
     EXPECT_LT(groups.at0, 0.1);
-}
-
-} // namespace
-
-// --------------------------------------------------------------------
-// Margin profiler (Section III-E)
-// --------------------------------------------------------------------
-
-#include "margin/profiler.hh"
-
-namespace
-{
-
-TEST(Profiler, BootProfileComputesNodeMargin)
-{
-    ModulePopulation population(3);
-    ModuleSpec spec;
-    spec.specRateMts = 3200;
-    spec.chipsPerRank = 9;
-    const auto modules = population.sampleFleet(spec, 8); // 4 channels
-    MarginProfiler profiler(ProfilerConfig{}, 5);
-    const auto profile = profiler.profile(modules, 0);
-    ASSERT_EQ(profile.moduleMarginsMts.size(), 8u);
-    ASSERT_EQ(profile.channelMarginsMts.size(), 4u);
-    for (std::size_t c = 0; c < 4; ++c) {
-        EXPECT_EQ(profile.channelMarginsMts[c],
-                  std::max(profile.moduleMarginsMts[2 * c],
-                           profile.moduleMarginsMts[2 * c + 1]));
-        EXPECT_LE(profile.nodeMarginMts, profile.channelMarginsMts[c]);
-    }
-}
-
-TEST(Profiler, GuardBandDeratesMargin)
-{
-    ModulePopulation population(3);
-    ModuleSpec spec;
-    const auto modules = population.sampleFleet(spec, 2);
-    ProfilerConfig banded;
-    banded.guardBandSteps = 1;
-    MarginProfiler plain(ProfilerConfig{}, 5);
-    MarginProfiler derated(banded, 5);
-    const auto a = plain.profile(modules, 0);
-    const auto b = derated.profile(modules, 0);
-    EXPECT_EQ(b.nodeMarginMts + 200, a.nodeMarginMts);
-}
-
-TEST(Profiler, ReprofilesOnlyWhenIdleAndStale)
-{
-    ModulePopulation population(3);
-    ModuleSpec spec;
-    const auto modules = population.sampleFleet(spec, 2);
-    ProfilerConfig config;
-    config.reprofileInterval = 1000;
-    MarginProfiler profiler(config, 5);
-    EXPECT_TRUE(profiler.maybeReprofile(modules, 0, true));
-    EXPECT_FALSE(profiler.maybeReprofile(modules, 500, true));  // fresh
-    EXPECT_FALSE(profiler.maybeReprofile(modules, 5000, false)); // busy
-    EXPECT_TRUE(profiler.maybeReprofile(modules, 5000, true));
-    EXPECT_EQ(profiler.profilesTaken(), 2u);
 }
 
 // --------------------------------------------------------------------

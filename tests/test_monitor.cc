@@ -247,21 +247,6 @@ TEST(RegionSampler, GenerousBudgetGrowsTheDutyWindowBack)
     EXPECT_GT(sampler.windowTicks(), initial_window);
 }
 
-TEST(RegionSampler, NodeHistogramIsTheMergeOfRegionHistories)
-{
-    RegionSampler sampler(enabledConfig());
-    drive(sampler, 50000);
-    telemetry::Log2Histogram expected;
-    for (const Region &region : sampler.regions())
-        expected.merge(region.history);
-    const telemetry::Log2Histogram merged =
-        sampler.nodeAccessHistogram();
-    EXPECT_EQ(merged.count(), expected.count());
-    EXPECT_EQ(merged.sum(), expected.sum());
-    for (unsigned b = 0; b < telemetry::Log2Histogram::kBuckets; ++b)
-        EXPECT_EQ(merged.bucketCount(b), expected.bucketCount(b)) << b;
-}
-
 TEST(RegionSampler, DeterministicAcrossIdenticalRuns)
 {
     RegionSampler a(enabledConfig());

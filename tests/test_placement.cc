@@ -2,7 +2,7 @@
  * @file
  * Tests for heterogeneous-reliability placement: the deterministic
  * per-job criticality model, the placement-policy semantics
- * (eligibility, replicated share, graceful-degradation outcomes),
+ * (eligibility, replicated share, tolerant-strike probability),
  * the criticality-split UE accounting in the cluster simulator, and
  * snapshot/resume bit-identity while placement state is active.
  */
@@ -25,7 +25,6 @@ namespace
 using namespace hdmr;
 using core::PlacementMode;
 using core::PlacementPolicy;
-using core::UeOutcome;
 
 // ---------------------------------------------------------------------
 // Criticality model
@@ -168,8 +167,6 @@ TEST(Placement, HeteroDmrKeepsSeedSemantics)
         EXPECT_TRUE(policy.marginEligible(1, tf));
         EXPECT_FALSE(policy.marginEligible(2, tf));
     }
-    EXPECT_EQ(policy.outcomeFor(true), UeOutcome::kKillRequeue);
-    EXPECT_EQ(policy.outcomeFor(false), UeOutcome::kKillRequeue);
 }
 
 TEST(Placement, HetReliabilityWidensEligibility)
@@ -190,9 +187,6 @@ TEST(Placement, HetReliabilityWidensEligibility)
     // Low/mid-usage jobs stay eligible regardless.
     EXPECT_TRUE(policy.marginEligible(0, 0.0));
     EXPECT_TRUE(policy.marginEligible(1, 0.0));
-
-    EXPECT_EQ(policy.outcomeFor(true), UeOutcome::kDegradeContinue);
-    EXPECT_EQ(policy.outcomeFor(false), UeOutcome::kKillRequeue);
 }
 
 TEST(Placement, HybridThresholdSplitsJobs)
