@@ -10,6 +10,7 @@
 #include <atomic>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "node/config.hh"
@@ -17,6 +18,7 @@
 #include "node/node_system.hh"
 #include "node/runner.hh"
 #include "snapshot/digest.hh"
+#include "telemetry/metrics.hh"
 #include "workloads/hpc_workloads.hh"
 
 namespace
@@ -315,6 +317,61 @@ TEST(NodeSystem, StatsDigestPinnedForEveryMemorySystem)
         EXPECT_EQ(statsDigest(stats), pinned.digest)
             << toString(pinned.kind) << ": 0x" << std::hex
             << statsDigest(stats);
+    }
+}
+
+TEST(NodeSystem, BoundRegistryCountsPinned)
+{
+    // The counts hostbench's traced repetitions read back from a node
+    // registry (hostbench.cc readNodeRegistry: counters summed by name
+    // prefix and suffix), with two nodes bound under one prefix so
+    // their counts must add up.  Recorded values; re-record only for a
+    // deliberate change of results.
+    telemetry::Registry registry;
+    for (const auto kind : {MemorySystemKind::kCommercialBaseline,
+                            MemorySystemKind::kHeteroDmr}) {
+        auto config = smallConfig(kind);
+        config.memOpsPerCore = 6000;
+        config.warmupOpsPerCore = 3000;
+        config.usage = core::MemoryUsage::kUnder25;
+        config.readErrorProbability = 1.0e-3;
+        NodeSystem system(config);
+        system.bindTelemetry(registry, "node");
+        system.run();
+    }
+
+    const struct
+    {
+        const char *prefix;
+        const char *suffix;
+        std::uint64_t count;
+    } kPinned[] = {
+        {"node.cache.l1", ".hits", 60304u},
+        {"node.cache.l1", ".misses", 35696u},
+        {"node.cache.l2", ".hits", 14327u},
+        {"node.cache.l2", ".misses", 15564u},
+        {"node.cache.l3", ".hits", 527u},
+        {"node.cache.l3", ".misses", 15037u},
+        {"node.cache.l3", ".writebacks", 931u},
+        {"node.dram.ch", ".mode_switches", 2u},
+    };
+    for (const auto &pinned : kPinned) {
+        const std::string prefix = pinned.prefix;
+        const std::string suffix = pinned.suffix;
+        std::uint64_t total = 0;
+        for (const auto &[name, metric] : registry.metrics()) {
+            if (name.size() >= prefix.size() + suffix.size() &&
+                name.compare(0, prefix.size(), prefix) == 0 &&
+                name.compare(name.size() - suffix.size(), suffix.size(),
+                             suffix) == 0) {
+                const auto *counter =
+                    std::get_if<telemetry::Counter>(&metric);
+                ASSERT_NE(counter, nullptr) << name;
+                total += counter->value();
+            }
+        }
+        EXPECT_GT(total, 0u) << prefix << "*" << suffix;
+        EXPECT_EQ(total, pinned.count) << prefix << "*" << suffix;
     }
 }
 
