@@ -17,15 +17,6 @@ Cache::Cache(CacheConfig config) : config_(config)
     lines_.resize(numSets_ * config_.ways);
 }
 
-void
-Cache::bindTelemetry(telemetry::Registry &registry,
-                     const std::string &prefix)
-{
-    tmHits_ = &registry.counter(prefix + ".hits");
-    tmMisses_ = &registry.counter(prefix + ".misses");
-    tmWritebacks_ = &registry.counter(prefix + ".writebacks");
-}
-
 std::uint64_t
 Cache::setIndex(std::uint64_t address) const
 {
@@ -44,101 +35,92 @@ Cache::lineAddress(std::uint64_t set, std::uint64_t tag) const
     return (tag * numSets_ + set) * config_.lineBytes;
 }
 
-AccessResult
-Cache::access(std::uint64_t address, bool is_write)
+Cache::Lookup
+Cache::lookup(std::uint64_t set, std::uint64_t tag)
 {
-    AccessResult result;
-    const std::uint64_t set = setIndex(address);
-    const std::uint64_t tag = tagOf(address);
     Line *base = &lines_[set * config_.ways];
-    ++useClock_;
-
     Line *victim = base;
     for (unsigned w = 0; w < config_.ways; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            result.hit = true;
-            if (line.prefetched) {
-                result.prefetchHit = true;
-                line.prefetched = false;
-                ++prefetchUseful_;
-            }
-            line.lastUse = useClock_;
-            if (is_write && !line.dirty) {
-                line.dirty = true;
-                ++dirtyLines_;
-            }
-            ++hits_;
-            HDMR_TM_INC(tmHits_);
-            return result;
-        }
+        if (line.valid && line.tag == tag)
+            return {&line, nullptr};
         if (!line.valid) {
             victim = &line;
         } else if (victim->valid && line.lastUse < victim->lastUse) {
             victim = &line;
         }
     }
+    return {nullptr, victim};
+}
 
-    ++misses_;
-    HDMR_TM_INC(tmMisses_);
-    if (victim->valid && victim->dirty) {
+AccessResult
+Cache::install(std::uint64_t set, Line &victim, std::uint64_t tag,
+               bool dirty, bool prefetched)
+{
+    AccessResult result;
+    if (victim.valid && victim.dirty) {
         result.evictedDirty = true;
-        result.victimAddress = lineAddress(set, victim->tag);
+        result.victimAddress = lineAddress(set, victim.tag);
         --dirtyLines_;
-        HDMR_TM_INC(tmWritebacks_);
+        ++writebacks_;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = is_write;
-    victim->prefetched = false;
-    victim->lastUse = useClock_;
-    if (is_write)
+    victim.valid = true;
+    victim.tag = tag;
+    victim.dirty = dirty;
+    victim.prefetched = prefetched;
+    victim.lastUse = useClock_;
+    if (dirty)
         ++dirtyLines_;
     return result;
 }
 
 AccessResult
-Cache::fill(std::uint64_t address, bool dirty, bool prefetched)
+Cache::access(std::uint64_t address, bool is_write)
 {
-    AccessResult result;
     const std::uint64_t set = setIndex(address);
     const std::uint64_t tag = tagOf(address);
-    Line *base = &lines_[set * config_.ways];
     ++useClock_;
 
-    Line *victim = base;
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            // Already present: just merge the dirty bit.
-            if (dirty && !line.dirty) {
-                line.dirty = true;
-                ++dirtyLines_;
-            }
-            result.hit = true;
-            return result;
+    const auto [line, victim] = lookup(set, tag);
+    if (line != nullptr) {
+        AccessResult result;
+        result.hit = true;
+        if (line->prefetched) {
+            result.prefetchHit = true;
+            line->prefetched = false;
+            ++prefetchUseful_;
         }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
+        line->lastUse = useClock_;
+        if (is_write && !line->dirty) {
+            line->dirty = true;
+            ++dirtyLines_;
         }
+        ++hits_;
+        return result;
     }
+    ++misses_;
+    return install(set, *victim, tag, is_write, false);
+}
 
-    if (victim->valid && victim->dirty) {
-        result.evictedDirty = true;
-        result.victimAddress = lineAddress(set, victim->tag);
-        --dirtyLines_;
-        HDMR_TM_INC(tmWritebacks_);
+AccessResult
+Cache::fill(std::uint64_t address, bool dirty, bool prefetched)
+{
+    const std::uint64_t set = setIndex(address);
+    const std::uint64_t tag = tagOf(address);
+    ++useClock_;
+
+    const auto [line, victim] = lookup(set, tag);
+    if (line != nullptr) {
+        // Already present: just merge the dirty bit.
+        if (dirty && !line->dirty) {
+            line->dirty = true;
+            ++dirtyLines_;
+        }
+        AccessResult result;
+        result.hit = true;
+        return result;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = dirty;
-    victim->prefetched = prefetched;
-    victim->lastUse = useClock_;
-    if (dirty)
-        ++dirtyLines_;
-    return result;
+    return install(set, *victim, tag, dirty, prefetched);
 }
 
 bool
@@ -215,7 +197,7 @@ Cache::cleanLruDirtyLines(
             write_out(addr);
             line->dirty = false;
             --dirtyLines_;
-            HDMR_TM_INC(tmWritebacks_);
+            ++writebacks_;
             ++cleaned;
         }
         if (cleaned >= max_lines) {

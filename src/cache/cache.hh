@@ -7,6 +7,9 @@
  * simulators upstream only need hit/miss/eviction behaviour).  The
  * LLC additionally supports Hetero-DMR's "clean N least-recently-used
  * dirty lines" operation (Section III-E).
+ *
+ * Hits, misses and writebacks are plain counters; the owner reads and
+ * publishes them (node::NodeSystem does so when its run ends).
  */
 
 #ifndef HDMR_CACHE_CACHE_HH
@@ -14,10 +17,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "telemetry/telemetry.hh"
 #include "util/units.hh"
 
 namespace hdmr::cache
@@ -102,17 +103,21 @@ class Cache
     std::uint64_t dirtyLines() const { return dirtyLines_; }
 
     // Statistics.
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
+    std::uint64_t hits() const { return hits_; }     ///< demand hits
+    std::uint64_t misses() const { return misses_; } ///< demand misses
+    /**
+     * Dirty lines written downstream: dirty victims of access() and
+     * fill(), plus every line cleanLruDirtyLines() writes out.
+     */
+    std::uint64_t writebacks() const { return writebacks_; }
     std::uint64_t prefetchUsefulCount() const { return prefetchUseful_; }
 
-    /**
-     * Bind observability metrics under `prefix` (e.g. "cache.l2.c0"):
-     * hits, misses, and dirty writebacks (demand/fill evictions plus
-     * proactive cleans).  Unbound, each update is one null check.
-     */
-    void bindTelemetry(telemetry::Registry &registry,
-                       const std::string &prefix);
+    /** Zero hits, misses and writebacks; cache contents stay. */
+    void
+    resetCounts()
+    {
+        hits_ = misses_ = writebacks_ = 0;
+    }
 
   private:
     struct Line
@@ -123,6 +128,22 @@ class Cache
         bool dirty = false;
         bool prefetched = false;
     };
+
+    /** One set scan: the way holding the tag, else the one to replace. */
+    struct Lookup
+    {
+        Line *hit;    ///< nullptr on a miss
+        Line *victim; ///< on a miss: last invalid way, else first LRU way
+    };
+
+    Lookup lookup(std::uint64_t set, std::uint64_t tag);
+
+    /**
+     * Replace `victim` in `set` with a most-recently-used line for
+     * `tag`; a dirty victim is written back and reported.
+     */
+    AccessResult install(std::uint64_t set, Line &victim,
+                         std::uint64_t tag, bool dirty, bool prefetched);
 
     std::uint64_t setIndex(std::uint64_t address) const;
     std::uint64_t tagOf(std::uint64_t address) const;
@@ -135,13 +156,9 @@ class Cache
     std::uint64_t dirtyLines_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
+    std::uint64_t writebacks_ = 0;
     std::uint64_t prefetchUseful_ = 0;
     std::size_t cleanCursor_ = 0; ///< round-robin set scan position
-
-    /** Registry-owned metric bindings; null until bindTelemetry(). */
-    telemetry::Counter *tmHits_ = nullptr;
-    telemetry::Counter *tmMisses_ = nullptr;
-    telemetry::Counter *tmWritebacks_ = nullptr;
 };
 
 } // namespace hdmr::cache

@@ -81,8 +81,6 @@ ModeController::enqueueWriteNow(std::uint64_t address)
 void
 ModeController::handleDirtyEviction(std::uint64_t address)
 {
-    ++stats_.dirtyEvictions;
-
     // In write mode the write buffer takes evictions directly while it
     // has room; everything else parks in the victim cache.
     if (controller_.mode() == dram::ChannelMode::kWrite &&
@@ -230,43 +228,9 @@ ModeController::countRecoveryEvent()
 }
 
 void
-ModeController::bindTelemetry(telemetry::Registry &registry,
-                              const std::string &prefix)
-{
-    tm_.corrections = &registry.counter(prefix + ".corrections");
-    tm_.uncorrectedErrors =
-        &registry.counter(prefix + ".uncorrected_errors");
-    tm_.epochTrips = &registry.counter(prefix + ".epoch_trips");
-    tm_.demotions = &registry.counter(prefix + ".demotions");
-    tm_.quarantines = &registry.counter(prefix + ".quarantines");
-    tm_.promotions = &registry.counter(prefix + ".promotions");
-    tm_.fastDisabledSeconds =
-        &registry.gauge(prefix + ".fast_disabled_seconds");
-}
-
-void
-ModeController::bindTrace(telemetry::TraceRecorder *trace,
-                          std::uint32_t tid)
-{
-    trace_ = trace;
-    traceTid_ = tid;
-}
-
-void
-ModeController::traceInstant(const char *name)
-{
-    if (trace_ != nullptr) {
-        trace_->instant(name, "mode",
-                        util::ticksToNs(events_.curTick()) / 1000.0,
-                        traceTid_);
-    }
-}
-
-void
 ModeController::onReadError()
 {
     ++stats_.corrections;
-    HDMR_TM_INC(tm_.corrections);
     if (guard_.recordError(events_.curTick()))
         disableFastOperation();
     countRecoveryEvent();
@@ -278,8 +242,6 @@ ModeController::onUncorrectableError()
     // The recovery read of the original (modelled inside the memory
     // controller) failed too: the error is uncorrectable.
     ++stats_.uncorrectedErrors;
-    HDMR_TM_INC(tm_.uncorrectedErrors);
-    traceInstant("ue_escalation");
     countRecoveryEvent();
 }
 
@@ -333,8 +295,6 @@ ModeController::demote()
     if (quarantined_ || !config_.plan.fastReads)
         return;
     ++stats_.demotions;
-    HDMR_TM_INC(tm_.demotions);
-    traceInstant("demotion");
     recoveryEventsSinceDemotion_ = 0;
 
     const unsigned spec = config_.specSetting.dataRateMts;
@@ -342,8 +302,6 @@ ModeController::demote()
     if (config_.fastSetting.dataRateMts <= spec + step) {
         // Out of exploitable margin: permanent quarantine at spec.
         ++stats_.quarantines;
-        HDMR_TM_INC(tm_.quarantines);
-        traceInstant("quarantine");
         config_.fastSetting = config_.specSetting;
         config_.readErrorProbability = 0.0;
         suspendFastOperation(0, /*permanent=*/true);
@@ -354,7 +312,6 @@ ModeController::demote()
     // per-step growth factor.
     config_.readErrorProbability *=
         config_.quarantine.demotionErrorFactor;
-    stats_.reprofileTicks += config_.quarantine.reprofileDowntime;
     suspendFastOperation(events_.curTick() +
                              config_.quarantine.reprofileDowntime,
                          /*permanent=*/false);
@@ -367,7 +324,6 @@ ModeController::promote()
         config_.fastSetting.dataRateMts >= qualifiedFastRateMts_)
         return;
     ++stats_.promotions;
-    HDMR_TM_INC(tm_.promotions);
     const unsigned step = config_.quarantine.demoteStepMts;
     config_.fastSetting.dataRateMts =
         std::min(qualifiedFastRateMts_,
@@ -393,7 +349,6 @@ ModeController::suspendFastOperation(Tick resume_at, bool permanent)
 
     if (fastEnabled_) {
         fastEnabled_ = false;
-        fastDisabledAt_ = events_.curTick();
 
         // Fall back to specification: same timing in both modes, no
         // error injection, originals active.
@@ -426,8 +381,6 @@ ModeController::disableFastOperation()
     if (!fastEnabled_)
         return;
     ++stats_.epochTrips;
-    HDMR_TM_INC(tm_.epochTrips);
-    traceInstant("epoch_trip");
     suspendFastOperation(guard_.epochEnd(events_.curTick()),
                          /*permanent=*/false);
 }
@@ -438,9 +391,6 @@ ModeController::reenableFastOperation()
     if (fastEnabled_ || !config_.plan.fastReads || quarantined_)
         return;
     fastEnabled_ = true;
-    stats_.fastDisabledTicks += events_.curTick() - fastDisabledAt_;
-    HDMR_TM_SET(tm_.fastDisabledSeconds,
-                util::ticksToSeconds(stats_.fastDisabledTicks));
     controller_.reconfigure(buildControllerConfig(activeConfig(), 1));
     controller_.setSelfRefreshMask(config_.plan.selfRefreshMask);
 }

@@ -110,16 +110,13 @@ struct ModeControllerConfig
 /** Mode-controller statistics. */
 struct ModeControllerStats
 {
-    std::uint64_t dirtyEvictions = 0;
     std::uint64_t cleanedLines = 0;
     std::uint64_t corrections = 0; ///< detected errors recovered
     std::uint64_t uncorrectedErrors = 0; ///< recoveries that failed (UEs)
     std::uint64_t epochTrips = 0;
-    std::uint64_t fastDisabledTicks = 0;
     std::uint64_t demotions = 0;     ///< fast setting permanently lowered
     std::uint64_t quarantines = 0;   ///< demoted all the way to spec
     std::uint64_t marginDriftMts = 0; ///< injected drift absorbed
-    util::Tick reprofileTicks = 0;   ///< modelled re-profiling downtime
     std::uint64_t promotions = 0;    ///< guard-band steps re-earned
 };
 
@@ -228,18 +225,6 @@ class ModeController
     /** The fast rate the channel was originally qualified at. */
     unsigned qualifiedFastRateMts() const { return qualifiedFastRateMts_; }
 
-    /**
-     * Bind observability metrics under `prefix` (e.g. "mode.ch0"):
-     * correction/UE counters, the demotion/quarantine/promotion
-     * counters, and the fast-operation residency gauge.  Unbound, each
-     * update is one null check.
-     */
-    void bindTelemetry(telemetry::Registry &registry,
-                       const std::string &prefix);
-
-    /** Emit UE-escalation/demotion/quarantine instants on `trace`. */
-    void bindTrace(telemetry::TraceRecorder *trace, std::uint32_t tid);
-
     /** The controller configuration this mode controller installs. */
     static dram::ControllerConfig
     buildControllerConfig(const ModeControllerConfig &config,
@@ -283,7 +268,6 @@ class ModeController
     double triggerBoost_ = 0.0;
     /** Monitor-asserted cleaning-budget scale (1 = full budget). */
     double cleanScale_ = 1.0;
-    util::Tick fastDisabledAt_ = 0;
     double ambientMultiplier_ = 1.0;
     std::uint64_t recoveryEventsSinceDemotion_ = 0;
     /** Construction-time fast rate: the promotion ceiling. */
@@ -292,24 +276,6 @@ class ModeController
     sim::CallbackEvent reenableEvent_;
     EpochGuard guard_;
     ModeControllerStats stats_;
-
-    /** Registry-owned metric bindings; null until bindTelemetry(). */
-    struct Telemetry
-    {
-        telemetry::Counter *corrections = nullptr;
-        telemetry::Counter *uncorrectedErrors = nullptr;
-        telemetry::Counter *epochTrips = nullptr;
-        telemetry::Counter *demotions = nullptr;
-        telemetry::Counter *quarantines = nullptr;
-        telemetry::Counter *promotions = nullptr;
-        telemetry::Gauge *fastDisabledSeconds = nullptr;
-    };
-    Telemetry tm_;
-    telemetry::TraceRecorder *trace_ = nullptr;
-    std::uint32_t traceTid_ = 0;
-
-    /** Trace instant at the current simulated time. */
-    void traceInstant(const char *name);
 };
 
 } // namespace hdmr::core

@@ -119,43 +119,6 @@ MemoryController::finalizeStats()
         stats_.writeModeTicks += now - writeModeEnteredAt_;
         writeModeEnteredAt_ = now;
     }
-    HDMR_TM_SET(tm_.writeModeSeconds,
-                util::ticksToSeconds(stats_.writeModeTicks));
-    HDMR_TM_SET(tm_.transitionSeconds,
-                util::ticksToSeconds(stats_.transitionTicks));
-}
-
-void
-MemoryController::bindTelemetry(telemetry::Registry &registry,
-                                const std::string &prefix)
-{
-    tm_.rowHits = &registry.counter(prefix + ".row_hits");
-    tm_.rowMisses = &registry.counter(prefix + ".row_misses");
-    tm_.rowConflicts = &registry.counter(prefix + ".row_conflicts");
-    tm_.reads = &registry.counter(prefix + ".reads");
-    tm_.writes = &registry.counter(prefix + ".writes");
-    tm_.readModeAccesses =
-        &registry.counter(prefix + ".read_mode_accesses");
-    tm_.writeModeAccesses =
-        &registry.counter(prefix + ".write_mode_accesses");
-    tm_.readErrors = &registry.counter(prefix + ".read_errors");
-    tm_.uncorrectableErrors =
-        &registry.counter(prefix + ".uncorrectable_errors");
-    tm_.modeSwitches = &registry.counter(prefix + ".mode_switches");
-    tm_.modeSwitchLatencyNs =
-        &registry.histogram(prefix + ".mode_switch_latency_ns");
-    tm_.writeModeSeconds =
-        &registry.gauge(prefix + ".write_mode_seconds");
-    tm_.transitionSeconds =
-        &registry.gauge(prefix + ".transition_seconds");
-}
-
-void
-MemoryController::bindTrace(telemetry::TraceRecorder *trace,
-                            std::uint32_t tid)
-{
-    trace_ = trace;
-    traceTid_ = tid;
 }
 
 void
@@ -329,17 +292,7 @@ MemoryController::beginTransition(ChannelMode target)
     transitionTarget_ = target;
     transitionEndsAt_ = events_.curTick() + latency;
     stats_.transitionTicks += latency;
-    HDMR_TM_INC(tm_.modeSwitches);
-    HDMR_TM_RECORD(tm_.modeSwitchLatencyNs,
-                   static_cast<std::uint64_t>(util::ticksToNs(latency)));
-    if (trace_ != nullptr) {
-        trace_->instant(target == ChannelMode::kWrite
-                            ? "mode_switch.to_write"
-                            : "mode_switch.to_read",
-                        "dram",
-                        util::ticksToNs(events_.curTick()) / 1000.0,
-                        traceTid_);
-    }
+    ++stats_.modeSwitches;
     // Entering write mode: wake any self-refresh-parked ranks *now* so
     // the tXS exit time overlaps the frequency-scaling transition
     // (Figs. 9-10 sequence the clock change and the self-refresh exit
@@ -456,16 +409,12 @@ MemoryController::issueRead(std::size_t queue_index)
     }
 
     BankState &bs = bank(best_rank, qr.coord.bank);
-    if (best_plan.rowHit) {
+    if (best_plan.rowHit)
         ++stats_.rowHits;
-        HDMR_TM_INC(tm_.rowHits);
-    } else if (bs.openRow < 0) {
+    else if (bs.openRow < 0)
         ++stats_.rowMisses;
-        HDMR_TM_INC(tm_.rowMisses);
-    } else {
+    else
         ++stats_.rowConflicts;
-        HDMR_TM_INC(tm_.rowConflicts);
-    }
 
     commitAccess(bs, best_rank, qr.coord.row, best_plan, false);
 
@@ -480,7 +429,6 @@ MemoryController::issueRead(std::size_t queue_index)
     if (config_.readErrorProbability > 0.0 &&
         rng_.bernoulli(config_.readErrorProbability)) {
         ++stats_.readErrors;
-        HDMR_TM_INC(tm_.readErrors);
         if (hooks_.onReadError)
             hooks_.onReadError();
         complete += config_.errorRecoveryLatency;
@@ -491,22 +439,12 @@ MemoryController::issueRead(std::size_t queue_index)
         if (config_.recoveryFailureProbability > 0.0 &&
             rng_.bernoulli(config_.recoveryFailureProbability)) {
             ++stats_.uncorrectableErrors;
-            HDMR_TM_INC(tm_.uncorrectableErrors);
-            if (trace_ != nullptr) {
-                trace_->instant(
-                    "uncorrectable_error", "dram",
-                    util::ticksToNs(events_.curTick()) / 1000.0,
-                    traceTid_);
-            }
             if (hooks_.onUncorrectableError)
                 hooks_.onUncorrectableError();
         }
     }
 
     ++stats_.reads;
-    HDMR_TM_INC(tm_.reads);
-    HDMR_TM_INC(mode_ == ChannelMode::kWrite ? tm_.writeModeAccesses
-                                             : tm_.readModeAccesses);
     if (qr.request.isPrefetch)
         ++stats_.prefetchReads;
     stats_.readLatencySum += complete - qr.request.arrival;
@@ -549,13 +487,10 @@ MemoryController::issueWrite(std::size_t queue_index)
     }
     merged.rowHit = any_hit;
 
-    if (merged.rowHit) {
+    if (merged.rowHit)
         ++stats_.rowHits;
-        HDMR_TM_INC(tm_.rowHits);
-    } else {
+    else
         ++stats_.rowMisses;
-        HDMR_TM_INC(tm_.rowMisses);
-    }
 
     for (std::uint32_t left = targets; left != 0; left &= left - 1) {
         const unsigned rank = __builtin_ctz(left);
@@ -570,9 +505,6 @@ MemoryController::issueWrite(std::size_t queue_index)
     busFreeAt_ = merged.dataStart + t.tBURST;
     stats_.busBusyTicks += t.tBURST;
     ++stats_.writes;
-    HDMR_TM_INC(tm_.writes);
-    HDMR_TM_INC(mode_ == ChannelMode::kWrite ? tm_.writeModeAccesses
-                                             : tm_.readModeAccesses);
     stats_.writeRankOps += __builtin_popcount(targets);
     scheduleTryIssue(merged.dataStart);
     return true;

@@ -30,7 +30,6 @@
 #include "dram/request.hh"
 #include "dram/timing.hh"
 #include "sim/event_queue.hh"
-#include "telemetry/telemetry.hh"
 #include "util/rng.hh"
 
 namespace hdmr::dram
@@ -124,6 +123,7 @@ struct ControllerStats
     std::uint64_t readErrors = 0;      ///< injected detected errors
     std::uint64_t uncorrectableErrors = 0; ///< failed recoveries (UEs)
     std::uint64_t writeModeEntries = 0;
+    std::uint64_t modeSwitches = 0;    ///< transitions begun, both ways
     util::Tick busBusyTicks = 0;
     util::Tick writeModeTicks = 0;
     util::Tick transitionTicks = 0;
@@ -229,21 +229,9 @@ class MemoryController
     /** Force a write-mode entry as soon as possible. */
     void requestWriteMode();
 
+    /** Every count the channel keeps; the owner publishes them. */
     const ControllerStats &stats() const { return stats_; }
     const ControllerConfig &config() const { return config_; }
-
-    /**
-     * Bind observability metrics under `prefix` (e.g. "dram.ch0"):
-     * row hits/misses/conflicts, per-mode access counts, error
-     * counters, mode-switch count, and the mode-switch latency
-     * histogram.  Unbound (the default), every update site is one
-     * null check.
-     */
-    void bindTelemetry(telemetry::Registry &registry,
-                       const std::string &prefix);
-
-    /** Emit mode-switch instants onto `trace` track `tid`. */
-    void bindTrace(telemetry::TraceRecorder *trace, std::uint32_t tid);
 
     /** Close out time-integrated statistics at the end of a run. */
     void finalizeStats();
@@ -359,27 +347,6 @@ class MemoryController
     ControllerHooks hooks_;
     ControllerStats stats_;
     util::Rng rng_;
-
-    /** Registry-owned metric bindings; null until bindTelemetry(). */
-    struct Telemetry
-    {
-        telemetry::Counter *rowHits = nullptr;
-        telemetry::Counter *rowMisses = nullptr;
-        telemetry::Counter *rowConflicts = nullptr;
-        telemetry::Counter *reads = nullptr;
-        telemetry::Counter *writes = nullptr;
-        telemetry::Counter *readModeAccesses = nullptr;
-        telemetry::Counter *writeModeAccesses = nullptr;
-        telemetry::Counter *readErrors = nullptr;
-        telemetry::Counter *uncorrectableErrors = nullptr;
-        telemetry::Counter *modeSwitches = nullptr;
-        telemetry::Log2Histogram *modeSwitchLatencyNs = nullptr;
-        telemetry::Gauge *writeModeSeconds = nullptr;
-        telemetry::Gauge *transitionSeconds = nullptr;
-    };
-    Telemetry tm_;
-    telemetry::TraceRecorder *trace_ = nullptr;
-    std::uint32_t traceTid_ = 0;
 
     /** FR-FCFS only inspects the head of the queue up to this depth. */
     static constexpr std::size_t kSchedulerWindow = 64;

@@ -4,7 +4,6 @@
 
 #include "snapshot/digest.hh"
 #include "snapshot/serializer.hh"
-#include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace hdmr::monitor
@@ -108,7 +107,6 @@ RegionSampler::onAccess(std::uint64_t address, bool is_write, Tick now)
     ++aggSampled_;
     aggCharged_ += config_.sampleCheckCost;
     stats_.chargedTicks += config_.sampleCheckCost;
-    HDMR_TM_INC(tm_.samples);
     return config_.sampleCheckCost;
 }
 
@@ -160,10 +158,8 @@ RegionSampler::finishAggregation(Tick boundary)
 {
     // Close the interval's counts into the histories first; the hook
     // (scheme engine) sees the closed counts before merge/reset.
-    for (Region &region : regions_) {
+    for (Region &region : regions_)
         region.history.record(region.nrAccesses);
-        HDMR_TM_RECORD(tm_.regionAccesses, region.nrAccesses);
-    }
 
     AggregationInfo info;
     info.index = stats_.aggregations;
@@ -201,7 +197,6 @@ RegionSampler::finishAggregation(Tick boundary)
     if (static_cast<double>(aggCharged_) > allowed) {
         windowTicks_ = std::max<Tick>(1, windowTicks_ / 2);
         ++stats_.throttles;
-        HDMR_TM_INC(tm_.throttles);
     } else if (static_cast<double>(aggCharged_) * 2.0 < allowed &&
                windowTicks_ < config_.samplingInterval) {
         windowTicks_ = std::min(config_.samplingInterval,
@@ -212,7 +207,6 @@ RegionSampler::finishAggregation(Tick boundary)
     aggCharged_ = 0;
 
     ++stats_.aggregations;
-    HDMR_TM_INC(tm_.aggregations);
     nextAggregationAt_ += config_.aggregationInterval;
 
     if (boundary >= nextRegionUpdateAt_) {
@@ -220,10 +214,6 @@ RegionSampler::finishAggregation(Tick boundary)
             nextRegionUpdateAt_ += config_.regionUpdateInterval;
         splitRegions();
     }
-
-    HDMR_TM_SET(tm_.regionCount,
-                static_cast<double>(regions_.size()));
-    HDMR_TM_SET(tm_.windowTicks, static_cast<double>(windowTicks_));
 
     if (observer_)
         observer_(info.index);
@@ -280,10 +270,7 @@ RegionSampler::mergeRegions()
         threshold *= 2;
         merged += mergePass(threshold);
     }
-    if (merged > 0) {
-        stats_.merges += merged;
-        HDMR_TM_ADD(tm_.merges, merged);
-    }
+    stats_.merges += merged;
 }
 
 bool
@@ -315,7 +302,6 @@ RegionSampler::splitRegionAt(std::size_t index, unsigned pieces)
     regions_.insert(regions_.begin() + static_cast<long>(index) + 1,
                     std::move(child));
     ++stats_.splits;
-    HDMR_TM_INC(tm_.splits);
     if (pieces > 2)
         splitRegionAt(index + 1, pieces - 1);
     return true;
@@ -357,21 +343,6 @@ RegionSampler::splitRegions()
         splitRegionAt(i, pieces);
         i += regions_.size() - before + 1;
     }
-}
-
-void
-RegionSampler::bindTelemetry(telemetry::Registry &registry,
-                             const std::string &prefix)
-{
-    tm_.samples = &registry.counter(prefix + ".samples");
-    tm_.aggregations = &registry.counter(prefix + ".aggregations");
-    tm_.splits = &registry.counter(prefix + ".splits");
-    tm_.merges = &registry.counter(prefix + ".merges");
-    tm_.throttles = &registry.counter(prefix + ".throttles");
-    tm_.regionCount = &registry.gauge(prefix + ".regions");
-    tm_.windowTicks = &registry.gauge(prefix + ".window_ticks");
-    tm_.regionAccesses =
-        &registry.histogram(prefix + ".region_accesses");
 }
 
 namespace

@@ -183,14 +183,6 @@ class RegionSampler
     /** Current inspection-window length (duty x samplingInterval). */
     Tick windowTicks() const { return windowTicks_; }
 
-    /**
-     * Bind observability metrics under `prefix` ("<prefix>.samples",
-     * ".aggregations", ".splits", ".merges", ".throttles", region
-     * count and duty gauges, and the per-region access histogram).
-     */
-    void bindTelemetry(telemetry::Registry &registry,
-                       const std::string &prefix);
-
     // ---- Snapshot/resume surface (src/snapshot). ----
 
     /**
@@ -238,20 +230,6 @@ class RegionSampler
     MonitorStats stats_;
     AggregationHook hook_;
     std::function<void(std::uint64_t)> observer_;
-
-    /** Registry-owned metric bindings; null until bindTelemetry(). */
-    struct Telemetry
-    {
-        telemetry::Counter *samples = nullptr;
-        telemetry::Counter *aggregations = nullptr;
-        telemetry::Counter *splits = nullptr;
-        telemetry::Counter *merges = nullptr;
-        telemetry::Counter *throttles = nullptr;
-        telemetry::Gauge *regionCount = nullptr;
-        telemetry::Gauge *windowTicks = nullptr;
-        telemetry::Log2Histogram *regionAccesses = nullptr;
-    };
-    Telemetry tm_;
 };
 
 } // namespace hdmr::monitor

@@ -6,7 +6,6 @@
 
 #include "snapshot/digest.hh"
 #include "snapshot/serializer.hh"
-#include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace hdmr::monitor
@@ -450,7 +449,7 @@ defaultPhaseAdaptiveSchemes()
 
 SchemeEngine::SchemeEngine(SchemeConfig config, ActionSink *sink)
     : config_(std::move(config)), sink_(sink),
-      states_(config_.schemes.size()), tm_(config_.schemes.size())
+      states_(config_.schemes.size())
 {
     util::checkOk(config_.validate());
 }
@@ -485,7 +484,6 @@ SchemeEngine::onAggregation(const std::vector<Region> &regions,
                 continue;
             matched = true;
             ++state.hits;
-            HDMR_TM_INC(tm_[i].hits);
         }
 
         if (isLevelAction(scheme.action)) {
@@ -494,7 +492,6 @@ SchemeEngine::onAggregation(const std::vector<Region> &regions,
                 state.active = true;
                 ++state.fires;
                 state.lastFireAggregation = info.index;
-                HDMR_TM_INC(tm_[i].fires);
             } else if (!matched && state.active) {
                 state.active = false;
             }
@@ -513,7 +510,6 @@ SchemeEngine::onAggregation(const std::vector<Region> &regions,
             continue;
         ++state.fires;
         state.lastFireAggregation = info.index;
-        HDMR_TM_INC(tm_[i].fires);
         if (sink_ == nullptr)
             continue;
         switch (scheme.action) {
@@ -571,20 +567,6 @@ SchemeEngine::totalFires() const
     for (const SchemeState &state : states_)
         total += state.fires;
     return total;
-}
-
-void
-SchemeEngine::bindTelemetry(telemetry::Registry &registry,
-                            const std::string &prefix)
-{
-    for (std::size_t i = 0; i < config_.schemes.size(); ++i) {
-        const std::string base =
-            prefix + "." +
-            telemetry::sanitizeMetricComponent(
-                config_.schemes[i].name);
-        tm_[i].hits = &registry.counter(base + ".hits");
-        tm_[i].fires = &registry.counter(base + ".fires");
-    }
 }
 
 void

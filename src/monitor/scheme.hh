@@ -180,10 +180,6 @@ class SchemeEngine
     std::uint64_t totalHits() const;
     std::uint64_t totalFires() const;
 
-    /** Per-scheme hit/fire counters: "<prefix>.<name>.hits"/".fires". */
-    void bindTelemetry(telemetry::Registry &registry,
-                       const std::string &prefix);
-
     // ---- Snapshot/resume surface (src/snapshot). ----
 
     /**
@@ -213,13 +209,6 @@ class SchemeEngine
     std::vector<SchemeState> states_;
     bool preferActive_ = false;
     double epochScale_ = 1.0;
-
-    struct SchemeTelemetry
-    {
-        telemetry::Counter *hits = nullptr;
-        telemetry::Counter *fires = nullptr;
-    };
-    std::vector<SchemeTelemetry> tm_;
 };
 
 } // namespace hdmr::monitor

@@ -194,6 +194,13 @@ NodeSystem::NodeSystem(NodeConfig config) : config_(std::move(config))
             [this](unsigned id) { onCoreDone(id); }));
     }
     coresRunning_ = h.cores;
+
+    // Prefill and warm-up are not part of the measured run.
+    for (unsigned c = 0; c < h.cores; ++c) {
+        l1_[c]->resetCounts();
+        l2_[c]->resetCounts();
+    }
+    l3_->resetCounts();
 }
 
 void
@@ -513,37 +520,31 @@ void
 NodeSystem::bindTelemetry(telemetry::Registry &registry,
                           const std::string &prefix)
 {
-    for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
-        controllers_[ch]->bindTelemetry(
-            registry, prefix + ".dram.ch" + std::to_string(ch));
-    }
-    for (std::size_t ch = 0; ch < modeControllers_.size(); ++ch) {
-        modeControllers_[ch]->bindTelemetry(
-            registry, prefix + ".mode.ch" + std::to_string(ch));
-    }
-    for (std::size_t c = 0; c < l1_.size(); ++c) {
-        l1_[c]->bindTelemetry(registry,
-                              prefix + ".cache.l1.c" + std::to_string(c));
-    }
-    for (std::size_t c = 0; c < l2_.size(); ++c) {
-        l2_[c]->bindTelemetry(registry,
-                              prefix + ".cache.l2.c" + std::to_string(c));
-    }
-    if (l3_)
-        l3_->bindTelemetry(registry, prefix + ".cache.l3");
-    if (sampler_)
-        sampler_->bindTelemetry(registry, prefix + ".monitor");
-    if (engine_)
-        engine_->bindTelemetry(registry, prefix + ".monitor.scheme");
+    registry_ = &registry;
+    telemetryPrefix_ = prefix;
 }
 
 void
-NodeSystem::bindTrace(telemetry::TraceRecorder *trace, std::uint32_t tid)
+NodeSystem::publishTelemetry() const
 {
-    for (auto &controller : controllers_)
-        controller->bindTrace(trace, tid);
-    for (auto &mc : modeControllers_)
-        mc->bindTrace(trace, tid);
+    const auto publish = [this](const std::string &name,
+                                const cache::Cache &cache) {
+        const std::string base = telemetryPrefix_ + ".cache." + name;
+        registry_->counter(base + ".hits").inc(cache.hits());
+        registry_->counter(base + ".misses").inc(cache.misses());
+        registry_->counter(base + ".writebacks").inc(cache.writebacks());
+    };
+    for (std::size_t c = 0; c < l1_.size(); ++c) {
+        publish("l1.c" + std::to_string(c), *l1_[c]);
+        publish("l2.c" + std::to_string(c), *l2_[c]);
+    }
+    publish("l3", *l3_);
+    for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
+        registry_
+            ->counter(telemetryPrefix_ + ".dram.ch" + std::to_string(ch) +
+                      ".mode_switches")
+            .inc(controllers_[ch]->stats().modeSwitches);
+    }
 }
 
 NodeStats
@@ -680,6 +681,8 @@ NodeSystem::run()
 
     for (auto &controller : controllers_)
         controller->finalizeStats();
+    if (registry_ != nullptr)
+        publishTelemetry();
     return collectStats();
 }
 

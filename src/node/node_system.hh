@@ -13,6 +13,7 @@
 #define HDMR_NODE_NODE_SYSTEM_HH
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "node/config.hh"
 #include "node/energy.hh"
 #include "sim/event_queue.hh"
+#include "telemetry/metrics.hh"
 
 namespace hdmr::node
 {
@@ -105,7 +107,10 @@ class NodeSystem : public cpu::MemoryInterface,
     explicit NodeSystem(NodeConfig config);
     ~NodeSystem() override;
 
-    /** Run the configured benchmark to completion. */
+    /**
+     * Run the configured benchmark to completion.  With a registry
+     * bound, the run's counts are then added to it.
+     */
     NodeStats run();
 
     // cpu::MemoryInterface
@@ -125,17 +130,15 @@ class NodeSystem : public cpu::MemoryInterface,
     sim::EventQueue &events() { return events_; }
 
     /**
-     * Bind observability metrics for the whole node under `prefix`:
-     * fan-out to every memory controller ("<prefix>.dram.ch<i>"),
-     * mode controller ("<prefix>.mode.ch<i>"), and cache
-     * ("<prefix>.cache.l1.c<i>" / ".l2.c<i>" / ".l3").  The registry
-     * must outlive the node.
+     * When run() returns, add the measured run's counts to `registry`
+     * under `prefix`: every cache's hits, misses and writebacks
+     * ("<prefix>.cache.l1.c<i>.hits", ".l2.c<i>.", ".l3.") and each
+     * channel's "<prefix>.dram.ch<i>.mode_switches".  Counters are
+     * incremented, so nodes bound under one prefix sum; every other
+     * count is in NodeStats.  The registry must outlive run().
      */
     void bindTelemetry(telemetry::Registry &registry,
                        const std::string &prefix);
-
-    /** Emit mode-switch/UE/quarantine instants on `trace` track `tid`. */
-    void bindTrace(telemetry::TraceRecorder *trace, std::uint32_t tid);
 
     /**
      * The node's region sampler / scheme engine; nullptr while
@@ -176,6 +179,7 @@ class NodeSystem : public cpu::MemoryInterface,
                         bool l2_missed, util::Tick now);
     void onCoreDone(unsigned core_id);
     NodeStats collectStats() const;
+    void publishTelemetry() const;
 
     NodeConfig config_;
     sim::EventQueue events_;
@@ -204,6 +208,10 @@ class NodeSystem : public cpu::MemoryInterface,
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     unsigned coresRunning_ = 0;
     bool warming_ = false;
+
+    // Where run() publishes its counts; null while unbound.
+    telemetry::Registry *registry_ = nullptr;
+    std::string telemetryPrefix_;
 
     /**
      * MSHR table: lines with a DRAM read in flight (demand or

@@ -3,7 +3,7 @@
  * Hierarchical metrics registry: counters, gauges, and log2-bucketed
  * histograms with O(1) hot-path updates.
  *
- * Metric names are dot-separated paths ("dram.ch0.row_hits") so
+ * Metric names are dot-separated paths ("node.dram.ch0.mode_switches") so
  * per-channel / per-leg families stay enumerable and sortable for
  * export.  Components *bind* metrics once (Registry hands back a
  * stable pointer; std::map nodes never move) and bump them directly on

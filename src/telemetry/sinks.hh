@@ -6,7 +6,7 @@
  *
  *     # hdmr metrics v1
  *     name,kind,field,value
- *     dram.row_hits,counter,value,123456
+ *     sched.jobs_completed,counter,value,123456
  *     sched.turnaround_seconds,histogram,count,1743
  *     sched.turnaround_seconds,histogram,sum,52873
  *     sched.turnaround_seconds,histogram,bucket12,40

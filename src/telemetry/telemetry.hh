@@ -2,12 +2,14 @@
  * @file
  * Umbrella header plus the hot-path guard macros.
  *
- * Instrumented layers hold raw pointers to registry-owned metrics,
- * null by default.  With telemetry disabled nothing is ever bound, so
- * every update site costs exactly one well-predicted null check - the
- * discipline behind the "<2% when disabled" overhead budget in
- * DESIGN.md section 12.  Use the macros (not bare pointer derefs) at
- * update sites so the disabled path stays uniform and greppable.
+ * A layer that counts live into a registry (the cluster simulator)
+ * holds raw pointers to registry-owned metrics, null by default.  With
+ * telemetry disabled nothing is ever bound, so every update site costs
+ * exactly one well-predicted null check - the discipline behind the
+ * "<2% when disabled" overhead budget in DESIGN.md section 12.  Use
+ * the macros (not bare pointer derefs) at update sites so the disabled
+ * path stays uniform and greppable.  Every other layer keeps plain
+ * stats and publishes them at export time.
  */
 
 #ifndef HDMR_TELEMETRY_TELEMETRY_HH

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the cache subsystem: set-associative LRU behaviour, dirty
- * tracking, LRU-first cleaning with depth limits, victim write-back
- * cache semantics, and the prefetchers' stream detection and auto
- * turn-off.
+ * tracking, hit/miss/writeback counts, LRU-first cleaning with depth
+ * limits, victim write-back cache semantics, and the prefetchers'
+ * stream detection and auto turn-off.
  */
 
 #include <gtest/gtest.h>
@@ -63,6 +63,31 @@ TEST(Cache, DirtyEvictionReportsVictim)
     EXPECT_TRUE(result.evictedDirty);
     EXPECT_EQ(result.victimAddress, 0u);
     EXPECT_EQ(cache.dirtyLines(), 0u);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(cache.writebacks(), 1u);
+
+    // A fill's dirty victim is written back too; a clean one is not,
+    // and fills count neither hits nor misses.
+    EXPECT_TRUE(cache.access(stride, true).hit);
+    EXPECT_FALSE(cache.fill(3 * stride, false, false).evictedDirty);
+    EXPECT_EQ(cache.writebacks(), 1u);
+    const auto filled = cache.fill(4 * stride, false, false);
+    EXPECT_TRUE(filled.evictedDirty);
+    EXPECT_EQ(filled.victimAddress, stride);
+    EXPECT_EQ(cache.writebacks(), 2u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 3u);
+
+    // resetCounts() zeroes the counts but keeps the contents.
+    EXPECT_TRUE(cache.access(3 * stride, true).hit);
+    cache.resetCounts();
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.writebacks(), 0u);
+    EXPECT_EQ(cache.dirtyLines(), 1u);
+    EXPECT_TRUE(cache.access(3 * stride, false).hit);
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(Cache, DirtyLineCountTracksState)
@@ -103,14 +128,24 @@ TEST(Cache, CleanLruDirtyLinesRespectsFilterAndBudget)
     Cache cache(smallCache(8, 64 * 1024));
     for (std::uint64_t i = 0; i < 256; ++i)
         cache.access(i * 64, true);
+    EXPECT_EQ(cache.misses(), 256u);
+    EXPECT_EQ(cache.writebacks(), 0u);
     std::vector<std::uint64_t> written;
     const std::size_t cleaned = cache.cleanLruDirtyLines(
         100, [](std::uint64_t addr) { return addr % 128 == 0; },
         [&](std::uint64_t addr) { written.push_back(addr); });
     EXPECT_EQ(cleaned, written.size());
+    EXPECT_GT(cleaned, 0u);
     EXPECT_LE(cleaned, 100u);
     for (const auto addr : written)
         EXPECT_EQ(addr % 128, 0u);
+    EXPECT_EQ(cache.dirtyLines(), 256 - cleaned);
+    EXPECT_EQ(cache.writebacks(), cleaned); // one per cleaned line
+
+    cache.resetCounts();
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.writebacks(), 0u);
     EXPECT_EQ(cache.dirtyLines(), 256 - cleaned);
 }
 
